@@ -392,7 +392,7 @@ impl Bench4Record {
 ///   per-incoming-update cost. This is where batching actually wins, and
 ///   the release-gated `batch_regression.rs` test pins it at ≥1.5×.
 fn e15_batch_ingestion(record: &mut Bench4Record) {
-    use agq_enumerate::{EnumQueryEngine, GeneralShardedEngine, ShardedEngine};
+    use agq_enumerate::{GeneralShardedEngine, ShardedEngine};
     println!("## E15  batched ingestion: apply_batch vs apply_update (E14 world)");
     let w = e14_world();
     record.n = w.comps * w.m;
@@ -410,8 +410,7 @@ fn e15_batch_ingestion(record: &mut Bench4Record) {
             flip_script(w.e, &w.edges, reps, 99, Some((hot_keys, hot_fraction))),
         ),
     ] {
-        let mut eng: EnumQueryEngine<Nat, SegTreePerm<Nat>> =
-            EnumQueryEngine::build_dynamic(&w.a, &w.phi, &opts).unwrap();
+        let eng: GeneralShardedEngine<Nat> = ShardedEngine::build(&w.a, &w.phi, &opts, 1).unwrap();
         // warm: page in the plan and fault in the touched cones; the
         // script toggles presence, so it replays cleanly from any state
         for u in &script {
@@ -731,7 +730,7 @@ impl Bench6Record {
 fn e17_vector_sweeps(record: &mut Bench6Record) {
     use agq_circuit::{eval_gates, EvalPlan, GateDef, GateId};
     use agq_core::{eliminate_quantifiers, SlotKey};
-    use agq_enumerate::EnumQueryEngine;
+    use agq_enumerate::{GeneralShardedEngine, ShardedEngine};
 
     println!("## E17  vectorized sweeps: dense-run kernels on the E9 count circuit");
     let n = 20_000usize;
@@ -917,8 +916,7 @@ fn e17_vector_sweeps(record: &mut Bench6Record) {
     // E15 churn re-measure: hot-key flip ingestion on the E14 world.
     let w = e14_world();
     let script = flip_script(w.e, &w.edges, 40_000, 99, Some((4, 0.95)));
-    let mut eng: EnumQueryEngine<Nat, SegTreePerm<Nat>> =
-        EnumQueryEngine::build_dynamic(&w.a, &w.phi, &opts).unwrap();
+    let eng: GeneralShardedEngine<Nat> = ShardedEngine::build(&w.a, &w.phi, &opts, 1).unwrap();
     for u in &script {
         eng.apply_update(u).unwrap();
     }
@@ -1956,9 +1954,10 @@ impl Bench7Record {
 /// E18 — PR 9 headline: persistence round-trip on the E9 workload.
 /// Four measurements:
 ///
-/// * **compile vs load** — a cold `build_dynamic` against decoding the
-///   saved `.agqplan` + `.agqsnap` pair (linear decode + linear plan
-///   rebuild; no tree-decomposition, no circuit construction);
+/// * **compile vs load** — a cold one-shard `ShardedEngine::build`
+///   against decoding the saved `.agqplan` + `.agqsnap` pair (linear
+///   decode + linear plan rebuild; no tree-decomposition, no circuit
+///   construction);
 /// * **artifact sizes** — bytes on disk for the plan and the snapshot,
 ///   and the wall time to write both under the snapshot locks;
 /// * **WAL journal + recovery** — 64 batches of 16 edge flips appended
@@ -1968,11 +1967,11 @@ impl Bench7Record {
 ///   replay path alone (recover time minus a separately-timed load).
 fn e18_persist_restart(record: &mut Bench7Record) {
     use agq_core::TupleUpdate;
-    use agq_enumerate::EnumQueryEngine;
-    use agq_persist::{attach_file_wal, load_engine, recover_engine, save_engine};
+    use agq_enumerate::GeneralShardedEngine;
+    use agq_persist::{attach_sharded_file_wal, load_sharded, recover_sharded, save_sharded};
     use agq_semiring::F64;
 
-    type Engine = EnumQueryEngine<F64, SegTreePerm<F64>>;
+    type Engine = GeneralShardedEngine<F64>;
 
     println!("## E18  persistence: plan/snapshot round-trip + WAL recovery on E9");
     let n = 16_000usize;
@@ -1998,7 +1997,7 @@ fn e18_persist_restart(record: &mut Bench7Record) {
     let opts = CompileOptions::default();
 
     let t0 = Instant::now();
-    let mut live = Engine::build_dynamic(&a, &phi, &opts).unwrap();
+    let live = Engine::build(&a, &phi, &opts, 1).unwrap();
     record.compile_ms = t0.elapsed().as_secs_f64() * 1e3;
     record.answers = live.count();
     println!(
@@ -2014,7 +2013,7 @@ fn e18_persist_restart(record: &mut Bench7Record) {
         dir.join("wal.agqlog"),
     );
     let t0 = Instant::now();
-    let stats = save_engine(&live, &plan, &snap).unwrap();
+    let stats = save_sharded(&live, &plan, &snap).unwrap();
     record.save_ms = t0.elapsed().as_secs_f64() * 1e3;
     record.plan_bytes = stats.plan_bytes;
     record.snapshot_bytes = stats.snapshot_bytes;
@@ -2024,9 +2023,9 @@ fn e18_persist_restart(record: &mut Bench7Record) {
     );
 
     // Warm the file cache, then time the load proper.
-    load_engine::<F64, SegTreePerm<F64>>(&plan, &snap).unwrap();
+    load_sharded::<F64, SegTreePerm<F64>>(&plan, &snap).unwrap();
     let t0 = Instant::now();
-    let loaded = load_engine::<F64, SegTreePerm<F64>>(&plan, &snap).unwrap();
+    let loaded = load_sharded::<F64, SegTreePerm<F64>>(&plan, &snap).unwrap();
     record.load_ms = t0.elapsed().as_secs_f64() * 1e3;
     record.load_speedup = record.compile_ms / record.load_ms;
     assert_eq!(loaded.count(), record.answers);
@@ -2036,7 +2035,7 @@ fn e18_persist_restart(record: &mut Bench7Record) {
     );
 
     // Journal 64 batches of 16 deterministic edge flips, then recover.
-    attach_file_wal(&mut live, &wal).unwrap();
+    attach_sharded_file_wal(&live, &wal).unwrap();
     let (batches, per_batch) = (64usize, 16usize);
     let mut present = vec![true; edges.len()];
     let mut s = 0x9e3779b97f4a7c15u64;
@@ -2063,7 +2062,7 @@ fn e18_persist_restart(record: &mut Bench7Record) {
     record.wal_bytes = std::fs::metadata(&wal).unwrap().len();
 
     let t0 = Instant::now();
-    let (rec, report) = recover_engine::<F64, SegTreePerm<F64>>(&plan, &snap, &wal).unwrap();
+    let (rec, report) = recover_sharded::<F64, SegTreePerm<F64>>(&plan, &snap, &wal).unwrap();
     record.recover_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(report.batches_replayed, batches);
     assert_eq!(rec.count(), live.count());

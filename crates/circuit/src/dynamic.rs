@@ -889,13 +889,6 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
         out
     }
 
-    /// [`DynEvaluator::peek`] with a one-off scratch (convenience for
-    /// single queries; batch callers should reuse a [`PeekScratch`]).
-    pub fn peek_alloc(&self, patches: &[(u32, S)]) -> S {
-        let mut scratch = PeekScratch::new();
-        self.peek(patches, &mut scratch)
-    }
-
     fn mark_parents(&mut self, g: u32) {
         // Perm parents get the new child value buffered as a pending
         // patch; it is flushed in one `update_batch` when the perm gate
@@ -1359,8 +1352,10 @@ mod tests {
         let patches = [(1u32, Nat(9))];
         assert_eq!(
             ev.peek_memo(&patches, &mut scratch),
-            ev.peek_alloc(&patches)
+            ev.peek(&patches, &mut PeekScratch::new())
         );
+        // empty patch list returns the current output
+        assert_eq!(ev.peek(&[], &mut scratch), *ev.output());
     }
 
     #[test]
@@ -1526,18 +1521,5 @@ mod tests {
         let before = *ev.output();
         ev.set_inputs(&[]);
         assert_eq!(*ev.output(), before);
-    }
-
-    #[test]
-    fn peek_alloc_matches_scratch_reuse() {
-        let n = 4;
-        let circuit = Arc::new(test_circuit(n));
-        let slots: Vec<Nat> = (0..2 * n).map(|i| Nat(i as u64 % 3)).collect();
-        let ev: GeneralEvaluator<Nat> = DynEvaluator::new(circuit, &slots, &[Nat(1)]);
-        let patches = [(0u32, Nat(7)), (5u32, Nat(0))];
-        let mut scratch = PeekScratch::new();
-        assert_eq!(ev.peek(&patches, &mut scratch), ev.peek_alloc(&patches));
-        // empty patch list returns the current output
-        assert_eq!(ev.peek(&[], &mut scratch), *ev.output());
     }
 }

@@ -85,10 +85,9 @@ pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 /// care about ordering among distinct tuples (none of the engines do —
 /// distinct tuples commute) should not rely on it.
 ///
-/// The enumeration engine coalesces once here and feeds the deduplicated
-/// slice to both of its sub-indexes, so the quadratic-looking
-/// re-coalescing inside each layer only ever sees already-distinct
-/// tuples.
+/// A stack that coalesces once here feeds the deduplicated slice to the
+/// `apply_batch_coalesced` entry points of its layers, so no layer pays
+/// for coalescing again.
 pub fn coalesce_updates<'a, U: Borrow<TupleUpdate>>(
     updates: &'a [U],
     out: &mut Vec<&'a TupleUpdate>,

@@ -438,27 +438,13 @@ impl<S: Semiring, P: PermMaint<S>> QueryEngine<S, P> {
     ///
     /// Because the zero-restore overlay never mutates the evaluator, the
     /// batch fans out over threads — something the classic update/restore
-    /// path structurally cannot do. `threads = 0` uses one worker per
-    /// available core; results are returned in input order regardless.
+    /// path structurally cannot do: one worker per available core (at
+    /// most one per tuple); results are returned in input order.
     pub fn query_batch(&self, tuples: &[&[Elem]]) -> Vec<S>
     where
         P: Sync,
     {
-        self.query_batch_threads(tuples, 0)
-    }
-
-    /// [`QueryEngine::query_batch`] with an explicit worker count
-    /// (`0` = one per core, `1` = run on the calling thread).
-    pub fn query_batch_threads(&self, tuples: &[&[Elem]], threads: usize) -> Vec<S>
-    where
-        P: Sync,
-    {
-        let threads = match threads {
-            0 => available_cores(),
-            t => t,
-        }
-        .min(tuples.len())
-        .max(1);
+        let threads = available_cores().min(tuples.len()).max(1);
         let run_chunk = |chunk: &[&[Elem]], out: &mut Vec<S>| {
             let mut scratch = PeekScratch::new();
             let mut patches = Vec::new();

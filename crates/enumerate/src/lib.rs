@@ -47,10 +47,17 @@
 //! steady-state enumeration (advance/retreat) performs no heap
 //! allocation beyond the answer tuples it returns.
 //!
-//! # Shard routing
+//! # The engine and its shard routing
 //!
-//! [`shard::ShardedEngine`] serves one query from Gaifman-component
-//! shards: `φ` is compiled **once** into shared immutable plans (the
+//! [`shard::ShardedEngine`] is the crate's one engine: it binds a
+//! formula to a database and answers point queries (the semiring value
+//! `[φ](ā)`), enumeration, direct access, and Gaifman-preserving
+//! updates through one API, so the differential suites can assert the
+//! two sides never disagree. A quantifier-free `φ` builds dynamic
+//! state; a quantified one builds static state that rejects updates.
+//! It serves the query from Gaifman-component shards (one shard when
+//! asked for one, or when `φ` is not component-local): `φ` is compiled
+//! **once** into shared immutable plans (the
 //! point-query `CompiledQuery` with its `EvalPlan`, and the enumeration
 //! `EnumPlan` with its slot registry), and every shard owns only mutable
 //! state — a `QueryEngine` evaluator state and an [`AnswerIndex`] whose
@@ -175,19 +182,16 @@
 //! delegates — O(#shards + depth) per access.
 //!
 //! [`cursor`] implements the bidirectional cursor; [`provenance`]
-//! packages result (C); [`engine`] fronts point queries, enumeration,
-//! and updates with one [`engine::EnumQueryEngine`] API.
+//! packages result (C).
 
 pub mod answers;
 pub mod cursor;
-pub mod engine;
 pub mod machine;
 pub mod provenance;
 pub mod shard;
 
 pub use answers::{AnswerIndex, AnswerIter, UpdateError};
 pub use cursor::{Cursor, SummandIter};
-pub use engine::{EnumQueryEngine, FiniteEnumEngine, GeneralEnumEngine, RingEnumEngine};
 pub use machine::{EnumMachine, EnumPlan, InputVal, MachineStateDump};
 pub use provenance::{ProvIter, ProvenanceIndex};
 pub use shard::{

@@ -39,6 +39,17 @@
 //! Formulas that fail the component-locality check degrade gracefully to
 //! a single shard — always correct, never parallel.
 //!
+//! # Static and dynamic mode
+//!
+//! [`ShardedEngine::build`] reads the mode off the formula. A
+//! quantifier-free `φ` builds **dynamic** state: atoms stay input slots,
+//! and Gaifman-preserving updates are absorbed incrementally
+//! (Theorem 24). A quantified `φ` goes through guarded quantifier
+//! elimination, which materializes static predicates that an update
+//! would invalidate, so it builds **static** state: point queries,
+//! enumeration, and direct access work as in dynamic mode, and every
+//! update is rejected with [`UpdateError::StaticIndex`].
+//!
 //! # Ordering and global ranks
 //!
 //! The engine's one answer order is **global rank order**: shard id
@@ -46,10 +57,10 @@
 //! shards partition the answer set, so per-shard ranks compose into
 //! global ranks through a prefix table of per-shard counts — that is
 //! how [`ShardedEngine::answer`] serves the k-th answer in `O(depth)`
-//! per shard probed, and how [`ShardedEngine::for_each_answer`] /
-//! [`ShardedEngine::enumerate_merged`] stream every answer by chaining
-//! the per-shard cursors (a k-way merge by global rank degenerates to
-//! concatenation, because the shards own contiguous rank intervals).
+//! per shard probed, and how [`ShardedEngine::for_each_answer`] streams
+//! every answer by chaining the per-shard cursors (a k-way merge by
+//! global rank degenerates to concatenation, because the shards own
+//! contiguous rank intervals).
 //! The native cursor order is *not* lexicographic on the answer tuples
 //! (it follows the circuit structure), so no lexicographic stream is
 //! possible without materializing and sorting — callers that need one
@@ -61,7 +72,7 @@
 //! lock for the whole application (acquired in the same shard order, so
 //! the two disciplines cannot deadlock). A snapshot therefore sees a
 //! concurrent batch fully applied or not at all — never torn across
-//! shards. The differential suite pins sharded ≡ unsharded answer sets,
+//! shards. The differential suite pins sharded ≡ one-shard answer sets,
 //! point queries, and post-update behavior on all three backends.
 //!
 //! # Fault boundary
@@ -326,10 +337,12 @@ enum Route {
 }
 
 impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
-    /// Preprocess a quantifier-free `φ` over `a` for sharded point
-    /// queries, enumeration, and Gaifman-preserving updates, packing the
-    /// Gaifman components into at most `max_shards` shards
-    /// (`0` = one shard per component).
+    /// Preprocess `φ` over `a` for sharded point queries, enumeration,
+    /// and — when `φ` is quantifier-free — Gaifman-preserving updates,
+    /// packing the Gaifman components into at most `max_shards` shards
+    /// (`0` = one shard per component). A quantified `φ` builds static
+    /// state whose updates fail with [`UpdateError::StaticIndex`] (see
+    /// the [module docs](self)).
     ///
     /// Compiles once; instantiates one mutable state per shard. Formulas
     /// whose answers are not syntactically component-local fall back to
@@ -350,9 +363,10 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         // Point-query side: compile the indicator expression [φ] once,
         // derive the shared evaluation plan (with memoized FreeVar
         // cones), then instantiate one evaluator state per shard.
+        let dynamic = phi.is_quantifier_free();
         let expr: Expr<S> = Expr::Bracket(phi.clone());
         let mut copts = opts.clone();
-        copts.dynamic_atoms = true;
+        copts.dynamic_atoms = dynamic;
         let (expr, a2) = eliminate_quantifiers(&expr, a, &copts)?;
         let nf = normalize(&expr)?;
         let compiled = Arc::new(compile(&a2, &nf, &copts)?);
@@ -362,7 +376,11 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
 
         // Enumeration side: build the answer index once (shared EnumPlan
         // + slot registry), then fork one shard-restricted state each.
-        let base = AnswerIndex::build_dynamic(a, phi, opts)?;
+        let base = if dynamic {
+            AnswerIndex::build_dynamic(a, phi, opts)?
+        } else {
+            AnswerIndex::build(a, phi, opts)?
+        };
 
         let mut base = Some(base);
         let shards = (0..num_shards)
@@ -753,77 +771,15 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         (vals, missing)
     }
 
-    /// Apply one Gaifman-preserving update to the owning shard (write
-    /// lock on that shard only): both the shard's enumeration index
-    /// (incremental, `O_φ(1)`) and its point-query evaluator absorb it.
-    ///
-    /// The update is journaled **write-ahead** under the shard lock
-    /// (validate → journal → apply): a fail-stop WAL failure rejects it
-    /// with nothing applied and the LSN unadvanced, and a panic during
-    /// the apply quarantines the shard — already durable, so a restore
-    /// replay completes it.
-    pub fn apply_update(&self, u: &TupleUpdate) -> Result<(), UpdateError> {
-        let s = match self.route(&u.tuple) {
-            Route::Shard(s) => s,
-            Route::Cross => {
-                // A shard-spanning tuple is never a clique of the
-                // compile-time Gaifman graph: inserting it is not
-                // Gaifman-preserving, removing it is a no-op.
-                return if u.present {
-                    Err(UpdateError::NotGaifmanPreserving)
-                } else {
-                    Ok(())
-                };
-            }
-            Route::Unknown => return Err(UpdateError::MalformedTuple),
-        };
-        let mut shard = self
-            .write_shard(s)
-            .map_err(|shard| UpdateError::ShardUnavailable { shard })?;
-        shard.index.validate_update(u)?;
-        self.journal(std::slice::from_ref(u))?;
-        let shard = &mut *shard;
-        let applied = catch_unwind(AssertUnwindSafe(|| {
-            agq_core::fault::point("shard.apply");
-            shard
-                .index
-                .apply_update(u)
-                .expect("update was pre-validated");
-            shard.engine.apply_update(u);
-        }));
-        if applied.is_err() {
-            self.shards[s].quarantined.store(true, Ordering::Release);
-            return Err(UpdateError::ShardPanicked { shards: vec![s] });
-        }
-        Ok(())
-    }
-
-    /// Journal a batch write-ahead: assign the next LSN and append +
-    /// flush under the durability policy, with the accepting batch's
-    /// shard write locks still held (so LSN order agrees with apply
-    /// order). On success — or on append exhaustion under a fail-open
-    /// policy, which marks the WAL degraded — the LSN is committed and
-    /// the caller proceeds to apply. Under fail-stop, exhaustion commits
-    /// nothing and the caller must not apply.
-    fn journal(&self, updates: &[TupleUpdate]) -> Result<u64, UpdateError> {
-        let mut wal = self.lock_wal();
-        let lsn = wal.last_lsn + 1;
-        let WalState {
-            sink,
-            policy,
-            degraded,
-            ..
-        } = &mut *wal;
-        if let Some(sink) = sink {
-            if let Err(e) = policy.append(sink.as_mut(), lsn, updates) {
-                match policy.on_failure {
-                    WalFailure::FailStop => return Err(UpdateError::Wal(e.to_string())),
-                    WalFailure::FailOpen => *degraded = true,
-                }
-            }
-        }
-        wal.last_lsn = lsn;
-        Ok(lsn)
+    /// Apply one Gaifman-preserving update: [`ShardedEngine::apply_batch`]
+    /// with a batch of one, so it is validated, journaled write-ahead, and
+    /// applied (or quarantines the owning shard on a panic) exactly as a
+    /// batch is.
+    pub fn apply_update(&self, u: &TupleUpdate) -> Result<(), UpdateError>
+    where
+        P: Send + Sync,
+    {
+        self.apply_batch(std::slice::from_ref(u)).map(drop)
     }
 
     /// Attach a write-ahead-log sink: every subsequently accepted batch
@@ -903,16 +859,17 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         // update wins.
         let mut seen: agq_core::FxHashSet<(RelId, &[Elem])> =
             agq_core::FxHashSet::with_capacity_and_hasher(updates.len(), Default::default());
-        let mut groups: Vec<Vec<&TupleUpdate>> = vec![Vec::new(); self.shards.len()];
+        let mut routed: Vec<(usize, &TupleUpdate)> = Vec::with_capacity(updates.len());
         for u in updates.iter().rev() {
             if !seen.insert((u.rel, &u.tuple[..])) {
                 continue;
             }
             match self.route(&u.tuple) {
-                Route::Shard(s) => groups[s].push(u),
+                Route::Shard(s) => routed.push((s, u)),
                 Route::Cross => {
-                    // see apply_update: inserting a shard-spanning tuple
-                    // is never Gaifman-preserving, removing one is a no-op
+                    // A shard-spanning tuple is never a clique of the
+                    // compile-time Gaifman graph: inserting it is not
+                    // Gaifman-preserving, removing it is a no-op.
                     if u.present {
                         return Err(UpdateError::NotGaifmanPreserving);
                     }
@@ -920,14 +877,20 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
                 Route::Unknown => return Err(UpdateError::MalformedTuple),
             }
         }
-        let work: Vec<(usize, &[&TupleUpdate])> = groups
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .map(|(s, g)| (s, g.as_slice()))
-            .collect();
-        if work.is_empty() {
+        if routed.is_empty() {
             return Ok(0);
+        }
+        // Group by owning shard, in ascending shard order, without
+        // touching the shards the batch misses (a stable sort keeps each
+        // group in coalescing order): the cost is in the batch size, not
+        // the shard count, which `max_shards = 0` makes data-sized.
+        routed.sort_by_key(|&(s, _)| s);
+        let batch: Vec<&TupleUpdate> = routed.iter().map(|&(_, u)| u).collect();
+        let mut work: Vec<(usize, &[&TupleUpdate])> = Vec::new();
+        let mut start = 0;
+        for group in routed.chunk_by(|a, b| a.0 == b.0) {
+            work.push((group[0].0, &batch[start..start + group.len()]));
+            start += group.len();
         }
         // All-or-nothing *visibility*: take every affected shard's write
         // lock up front, in shard order — the same order cross-shard
@@ -948,7 +911,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         // Pre-validate the whole batch before journaling or mutating
         // anything. The verdict depends only on the shared plan, so the
         // first affected shard's index can vouch for every group.
-        for u in work.iter().flat_map(|(_, g)| g.iter()) {
+        for u in &batch {
             guards[0].index.validate_update(u)?;
         }
         // Journal write-ahead while the write locks are held; the
@@ -966,10 +929,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
                 ..
             } = &mut *wal;
             if let Some(sink) = sink {
-                let owned: Vec<TupleUpdate> = work
-                    .iter()
-                    .flat_map(|(_, g)| g.iter().map(|&u| u.clone()))
-                    .collect();
+                let owned: Vec<TupleUpdate> = batch.iter().map(|&u| u.clone()).collect();
                 if let Err(e) = policy.append(sink.as_mut(), lsn, &owned) {
                     match policy.on_failure {
                         WalFailure::FailStop => return Err(UpdateError::Wal(e.to_string())),
@@ -1088,36 +1048,55 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     /// total. Quarantined shards contribute nothing; use
     /// [`ShardedEngine::try_count`] to be told when that happens.
     pub fn count(&self) -> u64 {
-        self.read_healthy()
-            .0
-            .iter()
-            .map(|(_, s)| s.index.count())
-            .sum()
+        self.count_inner().0
     }
 
     /// [`ShardedEngine::count`] with explicit completeness.
     pub fn try_count(&self) -> Result<Served<u64>, ServeError> {
-        let (guards, missing) = self.read_healthy();
-        let total = guards.iter().map(|(_, s)| s.index.count()).sum();
+        let (total, missing) = self.count_inner();
         self.serve(total, missing)
+    }
+
+    fn count_inner(&self) -> (u64, Vec<usize>) {
+        let (guards, missing) = self.read_healthy();
+        (guards.iter().map(|(_, s)| s.index.count()).sum(), missing)
     }
 
     /// Whether at least one answer exists on a **healthy** shard
     /// (`O_φ(1)` per shard), under the same consistent snapshot as
     /// [`ShardedEngine::count`].
     pub fn is_nonempty(&self) -> bool {
-        self.read_healthy()
-            .0
-            .iter()
-            .any(|(_, s)| s.index.is_nonempty())
+        self.is_nonempty_inner().0
     }
 
     /// [`ShardedEngine::is_nonempty`] with explicit completeness (a
     /// degraded `false` only means the healthy shards are empty).
     pub fn try_is_nonempty(&self) -> Result<Served<bool>, ServeError> {
-        let (guards, missing) = self.read_healthy();
-        let any = guards.iter().any(|(_, s)| s.index.is_nonempty());
+        let (any, missing) = self.is_nonempty_inner();
         self.serve(any, missing)
+    }
+
+    fn is_nonempty_inner(&self) -> (bool, Vec<usize>) {
+        let (guards, missing) = self.read_healthy();
+        (guards.iter().any(|(_, s)| s.index.is_nonempty()), missing)
+    }
+
+    /// The position of global rank `k` among `guards`: the index of the
+    /// owning shard's guard and the rank local to that shard, found by
+    /// subtracting per-shard counts (the rank prefix table). `None` iff
+    /// `k` is at least the guards' total count.
+    fn locate(
+        guards: &[(usize, RwLockReadGuard<'_, Shard<S, P>>)],
+        mut k: u64,
+    ) -> Option<(usize, u64)> {
+        for (i, (_, shard)) in guards.iter().enumerate() {
+            let c = shard.index.count();
+            if k < c {
+                return Some((i, k));
+            }
+            k -= c;
+        }
+        None
     }
 
     /// Direct access: the answer of **global rank** `k` (shard id, then
@@ -1130,34 +1109,21 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     /// transparently absent from the rank space (use
     /// [`ShardedEngine::try_answer`] to detect that).
     pub fn answer(&self, k: u64) -> Option<Vec<Elem>> {
-        let guards = self.read_healthy().0;
-        let mut k = k;
-        for (_, shard) in &guards {
-            let c = shard.index.count();
-            if k < c {
-                return shard.index.answer(k);
-            }
-            k -= c;
-        }
-        None
+        self.answer_inner(k).0
     }
 
     /// [`ShardedEngine::answer`] with explicit completeness: a degraded
     /// result means the rank space omits the listed quarantined shards.
     #[allow(clippy::type_complexity)]
     pub fn try_answer(&self, k: u64) -> Result<Served<Option<Vec<Elem>>>, ServeError> {
-        let (guards, missing) = self.read_healthy();
-        let mut k = k;
-        let mut found = None;
-        for (_, shard) in &guards {
-            let c = shard.index.count();
-            if k < c {
-                found = shard.index.answer(k);
-                break;
-            }
-            k -= c;
-        }
+        let (found, missing) = self.answer_inner(k);
         self.serve(found, missing)
+    }
+
+    fn answer_inner(&self, k: u64) -> (Option<Vec<Elem>>, Vec<usize>) {
+        let (guards, missing) = self.read_healthy();
+        let found = Self::locate(&guards, k).and_then(|(i, k)| guards[i].1.index.answer(k));
+        (found, missing)
     }
 
     /// Answers of global ranks `k … k+len-1` (clipped at the end): one
@@ -1165,37 +1131,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     /// walk that chains across shard boundaries — pagination without
     /// enumerating ranks `< k`, under one consistent snapshot.
     pub fn answer_range(&self, k: u64, len: usize) -> Vec<Vec<Elem>> {
-        let mut out = Vec::new();
-        if len == 0 {
-            return out;
-        }
-        let guards = self.read_healthy().0;
-        // prefix table: skip whole shards below rank k
-        let mut k = k;
-        let mut s = 0;
-        while s < guards.len() {
-            let c = guards[s].1.index.count();
-            if k < c {
-                break;
-            }
-            k -= c;
-            s += 1;
-        }
-        while s < guards.len() && out.len() < len {
-            let mut it = guards[s].1.index.iter();
-            if let Some(first) = it.seek(k) {
-                out.push(first);
-                while out.len() < len {
-                    match it.next() {
-                        Some(t) => out.push(t),
-                        None => break,
-                    }
-                }
-            }
-            k = 0; // subsequent shards continue from their rank 0
-            s += 1;
-        }
-        out
+        self.answer_range_inner(k, len).0
     }
 
     /// [`ShardedEngine::answer_range`] with explicit completeness.
@@ -1205,12 +1141,36 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         k: u64,
         len: usize,
     ) -> Result<Served<Vec<Vec<Elem>>>, ServeError> {
-        let missing = self.quarantined_shards();
-        if !missing.is_empty() && self.serve_strict.load(Ordering::Acquire) {
-            return Err(ServeError::ShardUnavailable { shards: missing });
-        }
-        let page = self.answer_range(k, len);
+        let (page, missing) = self.answer_range_inner(k, len);
         self.serve(page, missing)
+    }
+
+    fn answer_range_inner(&self, k: u64, len: usize) -> (Vec<Vec<Elem>>, Vec<usize>) {
+        let (guards, missing) = self.read_healthy();
+        let mut out = Vec::new();
+        if len == 0 {
+            return (out, missing);
+        }
+        let Some((first, mut k)) = Self::locate(&guards, k) else {
+            return (out, missing);
+        };
+        for (_, shard) in &guards[first..] {
+            let mut it = shard.index.iter();
+            if let Some(t) = it.seek(k) {
+                out.push(t);
+                while out.len() < len {
+                    match it.next() {
+                        Some(t) => out.push(t),
+                        None => break,
+                    }
+                }
+            }
+            if out.len() == len {
+                break;
+            }
+            k = 0; // subsequent shards continue from their rank 0
+        }
+        (out, missing)
     }
 
     /// A uniformly random answer derived from `rng_seed` (deterministic
@@ -1222,15 +1182,8 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         if total == 0 {
             return None;
         }
-        let mut k = ((crate::answers::splitmix64(rng_seed) as u128 * total as u128) >> 64) as u64;
-        for (_, shard) in &guards {
-            let c = shard.index.count();
-            if k < c {
-                return shard.index.answer(k);
-            }
-            k -= c;
-        }
-        None
+        let k = ((crate::answers::splitmix64(rng_seed) as u128 * total as u128) >> 64) as u64;
+        Self::locate(&guards, k).and_then(|(i, k)| guards[i].1.index.answer(k))
     }
 
     /// Stream every answer to `f` in global rank order (shard id, then
@@ -1238,52 +1191,44 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     /// memory beyond the caller's own consumption. All shard read locks
     /// are held for the duration — the stream is one consistent
     /// snapshot, and the order is exactly the one
-    /// [`ShardedEngine::answer`] indexes.
+    /// [`ShardedEngine::answer`] indexes. The order is **not**
+    /// lexicographic: the native cursor order follows the circuit
+    /// structure, so callers that need one sort the answers themselves.
     pub fn for_each_answer(&self, mut f: impl FnMut(&[Elem])) {
-        let guards = self.read_healthy().0;
-        for (_, shard) in &guards {
-            let mut it = shard.index.iter();
-            while let Some(t) = it.next() {
-                f(&t);
-            }
-        }
+        self.for_each_answer_inner(|t| f(&t));
     }
 
     /// All answers in global rank order (see
     /// [`ShardedEngine::for_each_answer`]).
     pub fn collect_answers(&self) -> Vec<Vec<Elem>> {
-        let mut out = Vec::new();
-        self.for_each_answer(|t| out.push(t.to_vec()));
-        out
+        self.collect_answers_inner().0
     }
 
     /// [`ShardedEngine::collect_answers`] with explicit completeness: a
     /// degraded stream covers only the healthy shards' rank intervals.
     #[allow(clippy::type_complexity)]
     pub fn try_collect_answers(&self) -> Result<Served<Vec<Vec<Elem>>>, ServeError> {
-        let (guards, missing) = self.read_healthy();
-        let mut out = Vec::new();
-        for (_, shard) in &guards {
-            let mut it = shard.index.iter();
-            while let Some(t) = it.next() {
-                out.push(t.to_vec());
-            }
-        }
+        let (out, missing) = self.collect_answers_inner();
         self.serve(out, missing)
     }
 
-    /// All answers merged into one globally ordered stream: a thin
-    /// collect wrapper over the streaming merge of
-    /// [`ShardedEngine::for_each_answer`] (the shards partition the
-    /// answer set and own contiguous global-rank intervals, so the
-    /// k-way merge by rank is a chain of the per-shard constant-delay
-    /// cursors — nothing is materialized per shard, and nothing is
-    /// sorted). The global order is rank order, **not** lexicographic:
-    /// the native cursor order follows the circuit structure, so a
-    /// lexicographic stream would require materializing and sorting
-    /// every answer — the OOM risk this method used to carry.
-    pub fn enumerate_merged(&self) -> Vec<Vec<Elem>> {
-        self.collect_answers()
+    fn collect_answers_inner(&self) -> (Vec<Vec<Elem>>, Vec<usize>) {
+        let mut out = Vec::new();
+        let missing = self.for_each_answer_inner(|t| out.push(t));
+        (out, missing)
+    }
+
+    /// The stream behind [`ShardedEngine::for_each_answer`], handing out
+    /// owned tuples and returning the quarantined shards it skipped.
+    fn for_each_answer_inner(&self, mut f: impl FnMut(Vec<Elem>)) -> Vec<usize> {
+        let (guards, missing) = self.read_healthy();
+        for (_, shard) in &guards {
+            let mut it = shard.index.iter();
+            while let Some(t) = it.next() {
+                f(t);
+            }
+        }
+        missing
     }
 
     // ----- fault management ---------------------------------------------
@@ -1411,6 +1356,105 @@ mod tests {
         (Arc::new(a), e)
     }
 
+    /// A triangle, an edge, and an isolated element: two shards at
+    /// `max_shards = 2`.
+    fn small_graph() -> (Arc<Structure>, agq_structure::RelId) {
+        let mut sig = Signature::new();
+        let e = sig.add_relation("E", 2);
+        let mut a = Structure::new(Arc::new(sig), 6);
+        for (u, v) in [(0u32, 1u32), (1, 2), (2, 0), (3, 4)] {
+            a.insert(e, &[u, v]);
+            a.insert(e, &[v, u]);
+        }
+        (Arc::new(a), e)
+    }
+
+    #[test]
+    fn point_queries_agree_with_enumeration() {
+        let (a, e) = small_graph();
+        let phi = Formula::Rel(e, vec![Var(0), Var(1)]);
+        let eng: GeneralShardedEngine<Nat> =
+            ShardedEngine::build(&a, &phi, &CompileOptions::default(), 1).unwrap();
+        let answers = eng.collect_answers();
+        assert_eq!(answers.len() as u64, eng.count());
+        for t in &answers {
+            assert_eq!(eng.query(t), Nat(1), "enumerated answer {t:?}");
+        }
+        assert_eq!(eng.query(&[0, 3]), Nat(0), "non-answer");
+    }
+
+    #[test]
+    fn update_patches_both_sides() {
+        let (a, e) = small_graph();
+        let phi = Formula::Rel(e, vec![Var(0), Var(1)]);
+        let eng: GeneralShardedEngine<Nat> =
+            ShardedEngine::build(&a, &phi, &CompileOptions::default(), 1).unwrap();
+        let before = eng.count();
+        eng.apply_update(&TupleUpdate::remove(e, &[0, 1])).unwrap();
+        let n = eng.with_shard(0, |_, ix| {
+            let mut it = ix.iter();
+            let mut n = 0;
+            while it.next().is_some() {
+                n += 1;
+            }
+            n
+        });
+        assert_eq!(n, before - 1);
+        assert_eq!(eng.query(&[0, 1]), Nat(0), "removed on the query side too");
+        eng.apply_update(&TupleUpdate::insert(e, &[0, 1])).unwrap();
+        assert_eq!(eng.query(&[0, 1]), Nat(1));
+        assert_eq!(eng.count(), before);
+    }
+
+    #[test]
+    fn direct_access_through_engine() {
+        let (a, e) = small_graph();
+        let phi = Formula::Rel(e, vec![Var(0), Var(1)]);
+        let eng: GeneralShardedEngine<Nat> =
+            ShardedEngine::build(&a, &phi, &CompileOptions::default(), 1).unwrap();
+        let all = eng.collect_answers();
+        for (k, t) in all.iter().enumerate() {
+            assert_eq!(eng.answer(k as u64).as_ref(), Some(t));
+        }
+        assert_eq!(eng.answer(all.len() as u64), None);
+        assert_eq!(eng.answer_range(1, 3), all[1..4.min(all.len())]);
+        assert!(all.contains(&eng.sample(3).unwrap()));
+    }
+
+    #[test]
+    fn malformed_batch_leaves_both_sides_untouched() {
+        let (a, e) = small_graph();
+        let phi = Formula::Rel(e, vec![Var(0), Var(1)]);
+        for max_shards in [1usize, 2] {
+            let eng: GeneralShardedEngine<Nat> =
+                ShardedEngine::build(&a, &phi, &CompileOptions::default(), max_shards).unwrap();
+            assert_eq!(eng.num_shards(), max_shards);
+            eng.apply_update(&TupleUpdate::remove(e, &[3, 4])).unwrap();
+            let (before, lsn) = (eng.count(), eng.last_lsn());
+            // valid removal first, then an out-of-domain insert: without
+            // up-front validation the removal would land (or the bad
+            // tuple would panic mid-batch) before the error surfaces.
+            let batch = [
+                TupleUpdate::remove(e, &[0, 1]),
+                TupleUpdate::insert(e, &[0, 99]),
+            ];
+            assert_eq!(eng.apply_batch(&batch), Err(UpdateError::MalformedTuple));
+            assert_eq!(eng.count(), before, "enumeration side unchanged");
+            assert_eq!(eng.query(&[0, 1]), Nat(1), "point side unchanged");
+            assert_eq!(eng.last_lsn(), lsn, "rejected batch takes no LSN");
+            // arity-mismatched tuple (inside one shard, so it reaches
+            // validation): same contract, no panic
+            let batch = [
+                TupleUpdate::remove(e, &[0, 1]),
+                TupleUpdate::insert(e, &[0, 1, 2]),
+            ];
+            assert_eq!(eng.apply_batch(&batch), Err(UpdateError::MalformedTuple));
+            assert_eq!(eng.count(), before);
+            assert_eq!(eng.query(&[0, 1]), Nat(1));
+            assert_eq!(eng.last_lsn(), lsn);
+        }
+    }
+
     #[test]
     fn shards_partition_answers() {
         let (a, e) = three_component_graph();
@@ -1421,9 +1465,10 @@ mod tests {
         assert_eq!(eng.num_shards(), 4, "3 edge components + 1 isolated");
         assert_eq!(eng.count(), 14);
         let collected = eng.collect_answers();
+        let mut streamed = Vec::new();
+        eng.for_each_answer(|t| streamed.push(t.to_vec()));
         assert_eq!(
-            eng.enumerate_merged(),
-            collected,
+            streamed, collected,
             "merged stream is the global rank order"
         );
         let mut dedup = collected.clone();

@@ -24,7 +24,7 @@
 #![cfg(not(debug_assertions))]
 
 use agq_core::{CompileOptions, TupleUpdate};
-use agq_enumerate::EnumQueryEngine;
+use agq_enumerate::ShardedEngine;
 use agq_logic::{Formula, Var};
 use agq_perm::SegTreePerm;
 use agq_semiring::Nat;
@@ -104,10 +104,10 @@ fn batch64_beats_sequential_and_delay_holds() {
 
     let arc = Arc::new(a);
     let opts = CompileOptions::default();
-    let mut batched: EnumQueryEngine<Nat, SegTreePerm<Nat>> =
-        EnumQueryEngine::build_dynamic(&arc, &phi, &opts).unwrap();
-    let mut sequential: EnumQueryEngine<Nat, SegTreePerm<Nat>> =
-        EnumQueryEngine::build_dynamic(&arc, &phi, &opts).unwrap();
+    let batched: ShardedEngine<Nat, SegTreePerm<Nat>> =
+        ShardedEngine::build(&arc, &phi, &opts, 1).unwrap();
+    let sequential: ShardedEngine<Nat, SegTreePerm<Nat>> =
+        ShardedEngine::build(&arc, &phi, &opts, 1).unwrap();
 
     // warm both engines (page in plans, fault in the hot cones) with a
     // full pass; the script toggles presence, so a second pass replays
@@ -141,19 +141,22 @@ fn batch64_beats_sequential_and_delay_holds() {
 
     // enumeration delay on the batch-updated index must still meet the
     // delay budgets
-    let mut it = batched.enumerate();
-    let mut count = 0u64;
-    let mut delays: Vec<Duration> = Vec::with_capacity(70_000);
-    loop {
-        let t = Instant::now();
-        let step = it.next();
-        let d = t.elapsed();
-        if step.is_none() {
-            break;
+    let (count, mut delays) = batched.with_shard(0, |_, ix| {
+        let mut it = ix.iter();
+        let mut count = 0u64;
+        let mut delays: Vec<Duration> = Vec::with_capacity(70_000);
+        loop {
+            let t = Instant::now();
+            let step = it.next();
+            let d = t.elapsed();
+            if step.is_none() {
+                break;
+            }
+            delays.push(d);
+            count += 1;
         }
-        delays.push(d);
-        count += 1;
-    }
+        (count, delays)
+    });
     assert!(count > 5_000, "workload sanity: enough answers to measure");
     delays.sort();
     let p999 = delays[delays.len() - 1 - delays.len() / 1000];

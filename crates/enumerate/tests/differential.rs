@@ -8,14 +8,14 @@
 //!    definitions (eager bottom-up materialization, naive permanent
 //!    expansion — no support shadow, no cursors),
 //! 3. for query answers: `agq_baseline::all_answers` brute force and
-//!    [`agq_enumerate::EnumQueryEngine`] point queries.
+//!    one-shard [`agq_enumerate::ShardedEngine`] point queries.
 //!
 //! Comparisons are on sorted answer/monomial lists, so they check the
 //! *set* (and multiplicity) semantics rather than iteration order.
 
 use agq_circuit::{Circuit, CircuitBuilder, ConstRef, GateDef, GateId};
 use agq_core::CompileOptions;
-use agq_enumerate::{AnswerIndex, EnumMachine, GeneralEnumEngine};
+use agq_enumerate::{AnswerIndex, EnumMachine, GeneralShardedEngine, ShardedEngine};
 use agq_logic::{Formula, Var};
 use agq_semiring::{Gen, Nat};
 use agq_structure::{Elem, Signature, Structure};
@@ -273,12 +273,8 @@ proptest! {
         prop_assert_eq!(got.len() as u64, ix.count());
 
         // ≡ QueryEngine point queries through the unified engine
-        let mut eng: GeneralEnumEngine<Nat> = GeneralEnumEngine::build(&a, &phi, &opts).unwrap();
-        let mut eng_answers = Vec::new();
-        let mut it = eng.enumerate();
-        while let Some(t) = it.next() {
-            eng_answers.push(t);
-        }
+        let eng: GeneralShardedEngine<Nat> = ShardedEngine::build(&a, &phi, &opts, 1).unwrap();
+        let mut eng_answers = eng.collect_answers();
         eng_answers.sort();
         prop_assert_eq!(&eng_answers, &expect, "unified engine enumerates the same set");
         for t in &eng_answers {

@@ -1,12 +1,12 @@
 //! Differential suite for O(depth) direct access: `answer(k)` must be
 //! indistinguishable from enumerating to rank `k`, on every backend,
-//! flat and sharded, before and after random update interleavings — and
+//! on one shard ("flat") and sharded, before and after random update interleavings — and
 //! it must get there *without* enumerating, which the instrumented
 //! gate-visit counter pins down (visits independent of `k`).
 
 use agq_circuit::{FiniteMaint, PermMaint, RingMaint};
 use agq_core::{CompileOptions, TupleUpdate};
-use agq_enumerate::{AnswerIndex, EnumQueryEngine, ShardedEngine};
+use agq_enumerate::{AnswerIndex, ShardedEngine};
 use agq_logic::{Formula, Var};
 use agq_perm::SegTreePerm;
 use agq_semiring::{Bool, Int, Nat, Semiring};
@@ -52,34 +52,40 @@ fn clustered_world(
     (Arc::new(a), e, s, e_tuples)
 }
 
-/// `iter().nth(k)`: enumerate to rank `k` the slow way.
+/// `iter().nth(k)` on a one-shard engine's cursor: enumerate to rank
+/// `k` the slow way.
 fn nth_by_walk<S: Semiring, P: PermMaint<S>>(
-    eng: &EnumQueryEngine<S, P>,
+    eng: &ShardedEngine<S, P>,
     k: u64,
 ) -> Option<Vec<Elem>> {
-    let mut it = eng.enumerate();
-    let mut cur = it.next();
-    for _ in 0..k {
-        cur = it.next();
-        cur.as_ref()?;
-    }
-    cur
+    eng.with_shard(0, |_, ix| {
+        let mut it = ix.iter();
+        let mut cur = it.next();
+        for _ in 0..k {
+            cur = it.next();
+            cur.as_ref()?;
+        }
+        cur
+    })
 }
 
-/// The full direct-access contract at the current state of `flat` and
-/// `sharded` (both over the same formula/database).
+/// The full direct-access contract at the current state of `flat` (one
+/// shard) and `sharded` (both over the same formula/database).
 fn check_ranks<S: Semiring + PartialEq, P: PermMaint<S> + Send + Sync>(
-    flat: &EnumQueryEngine<S, P>,
+    flat: &ShardedEngine<S, P>,
     sharded: &ShardedEngine<S, P>,
     probe_ks: &[u64],
     ctx: &str,
 ) {
     // flat: answer(k) ≡ enumeration rank k, for every rank
-    let mut all = Vec::new();
-    let mut it = flat.enumerate();
-    while let Some(t) = it.next() {
-        all.push(t);
-    }
+    let all = flat.with_shard(0, |_, ix| {
+        let mut all = Vec::new();
+        let mut it = ix.iter();
+        while let Some(t) = it.next() {
+            all.push(t);
+        }
+        all
+    });
     assert_eq!(flat.count(), all.len() as u64, "{ctx}: flat count");
     for (k, t) in all.iter().enumerate() {
         assert_eq!(
@@ -158,7 +164,7 @@ where
     let (x, y) = (Var(0), Var(1));
     let phi = Formula::Rel(e, vec![x, y]).and(Formula::Rel(s, vec![x]));
     let opts = CompileOptions::default();
-    let mut flat: EnumQueryEngine<S, P> = EnumQueryEngine::build_dynamic(&a, &phi, &opts).unwrap();
+    let flat: ShardedEngine<S, P> = ShardedEngine::build(&a, &phi, &opts, 1).unwrap();
     let sharded: ShardedEngine<S, P> = ShardedEngine::build(&a, &phi, &opts, 0).unwrap();
     assert!(sharded.num_shards() > 1, "world must actually shard");
 

@@ -2,12 +2,12 @@
 //! database updates interleaved with enumeration, asserting that the
 //! *incremental* paths (support-shadow repair, `apply_update`) are
 //! indistinguishable from a full rebuild after every step — on the
-//! machine level and through the unified engine for the General, Ring,
+//! machine level and through a one-shard `ShardedEngine` for the General, Ring,
 //! and Finite point-query backends.
 
 use agq_circuit::{CircuitBuilder, FiniteMaint, PermMaint, RingMaint};
 use agq_core::{CompileOptions, TupleUpdate};
-use agq_enumerate::{AnswerIndex, EnumMachine, EnumQueryEngine};
+use agq_enumerate::{AnswerIndex, EnumMachine, ShardedEngine};
 use agq_logic::{Formula, Var};
 use agq_perm::SegTreePerm;
 use agq_semiring::{Bool, Gen, Int, Nat, Semiring};
@@ -149,14 +149,24 @@ fn collect_sorted_iter(mut it: agq_enumerate::AnswerIter<'_>) -> Vec<Vec<Elem>> 
     out
 }
 
+fn sorted_answers<S: Semiring, P: PermMaint<S>>(eng: &ShardedEngine<S, P>) -> Vec<Vec<Elem>> {
+    eng.with_shard(0, |_, ix| collect_sorted_iter(ix.iter()))
+}
+
+/// A one-shard engine over `a`: the flat form every suite here drives.
+fn one_shard<S: Semiring, P: PermMaint<S>>(a: &Structure, phi: &Formula) -> ShardedEngine<S, P> {
+    ShardedEngine::build(&Arc::new(a.clone()), phi, &CompileOptions::default(), 1).expect("build")
+}
+
 /// Drive one backend through the script, asserting after every step that
 /// incremental `apply_update` ≡ a full rebuild over the shadow database,
 /// and that point queries agree with membership.
-fn run_backend<S: Semiring, P: PermMaint<S>>(mut w: World, steps: &[(u32, u32, bool)]) {
+fn run_backend<S: Semiring, P: PermMaint<S> + Send + Sync>(
+    mut w: World,
+    steps: &[(u32, u32, bool)],
+) {
     let opts = CompileOptions::default();
-    let arc = Arc::new(w.shadow.clone());
-    let mut eng: EnumQueryEngine<S, P> =
-        EnumQueryEngine::build_dynamic(&arc, &w.phi, &opts).expect("build_dynamic");
+    let eng: ShardedEngine<S, P> = one_shard(&w.shadow, &w.phi);
     for (i, &(kind, pick, present)) in steps.iter().enumerate() {
         let u = resolve_step(&w, kind, pick, present);
         if present {
@@ -164,7 +174,8 @@ fn run_backend<S: Semiring, P: PermMaint<S>>(mut w: World, steps: &[(u32, u32, b
         } else {
             w.shadow.remove(u.rel, &u.tuple);
         }
-        let got = collect_sorted_iter(eng.enumerate_after_update(&u).expect("gaifman-preserving"));
+        eng.apply_update(&u).expect("gaifman-preserving");
+        let got = sorted_answers(&eng);
         // full rebuild over the updated shadow database
         let rebuilt = AnswerIndex::build_dynamic(&w.shadow, &w.phi, &opts).expect("rebuild");
         let mut expect = Vec::new();
@@ -205,17 +216,14 @@ proptest! {
 /// asserting after every chunk that `apply_batch` on one engine agrees
 /// with a one-by-one `apply_update` loop on a second engine and with a
 /// full rebuild over the shadow database.
-fn run_backend_batched<S: Semiring, P: PermMaint<S>>(
+fn run_backend_batched<S: Semiring, P: PermMaint<S> + Send + Sync>(
     mut w: World,
     steps: &[(u32, u32, bool)],
     batch_size: usize,
 ) {
     let opts = CompileOptions::default();
-    let arc = Arc::new(w.shadow.clone());
-    let mut batched: EnumQueryEngine<S, P> =
-        EnumQueryEngine::build_dynamic(&arc, &w.phi, &opts).expect("build_dynamic");
-    let mut sequential: EnumQueryEngine<S, P> =
-        EnumQueryEngine::build_dynamic(&arc, &w.phi, &opts).expect("build_dynamic");
+    let batched: ShardedEngine<S, P> = one_shard(&w.shadow, &w.phi);
+    let sequential: ShardedEngine<S, P> = one_shard(&w.shadow, &w.phi);
     for (bi, chunk) in steps.chunks(batch_size.max(1)).enumerate() {
         let batch: Vec<TupleUpdate> = chunk
             .iter()
@@ -232,8 +240,8 @@ fn run_backend_batched<S: Semiring, P: PermMaint<S>>(
         for u in &batch {
             sequential.apply_update(u).expect("gaifman-preserving");
         }
-        let got = collect_sorted_iter(batched.enumerate());
-        let one_by_one = collect_sorted_iter(sequential.enumerate());
+        let got = sorted_answers(&batched);
+        let one_by_one = sorted_answers(&sequential);
         assert_eq!(
             &got, &one_by_one,
             "batch {bi}: apply_batch ≠ apply_update loop"
@@ -284,17 +292,15 @@ proptest! {
 #[test]
 fn cancelling_flips_coalesce() {
     let w = world(8, &[(0, 1), (1, 2), (2, 3), (3, 4)]).expect("world");
-    let arc = Arc::new(w.shadow.clone());
     let opts = CompileOptions::default();
-    let mut eng: EnumQueryEngine<Nat, SegTreePerm<Nat>> =
-        EnumQueryEngine::build_dynamic(&arc, &w.phi, &opts).expect("build_dynamic");
+    let eng: ShardedEngine<Nat, SegTreePerm<Nat>> = one_shard(&w.shadow, &w.phi);
     let t = w.e_tuples[0];
-    let before = collect_sorted_iter(eng.enumerate());
+    let before = sorted_answers(&eng);
     // present tuple: remove-then-insert nets to no change at all
     let batch = vec![TupleUpdate::remove(w.e, &t), TupleUpdate::insert(w.e, &t)];
     let applied = eng.apply_batch(&batch).expect("gaifman-preserving");
     assert_eq!(applied, 0, "net no-op batch applies nothing");
-    assert_eq!(collect_sorted_iter(eng.enumerate()), before);
+    assert_eq!(sorted_answers(&eng), before);
     // insert-then-remove: the remove wins
     let batch = vec![TupleUpdate::insert(w.e, &t), TupleUpdate::remove(w.e, &t)];
     eng.apply_batch(&batch).expect("gaifman-preserving");
@@ -307,5 +313,5 @@ fn cancelling_flips_coalesce() {
         expect.push(x);
     }
     expect.sort();
-    assert_eq!(collect_sorted_iter(eng.enumerate()), expect);
+    assert_eq!(sorted_answers(&eng), expect);
 }

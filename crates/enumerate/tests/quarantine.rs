@@ -5,10 +5,7 @@
 //! batch must leave the LSN *and* the in-memory state untouched).
 
 use agq_core::{CompileOptions, DurabilityPolicy, TupleUpdate, WalFailure, WalSink};
-use agq_enumerate::{
-    EnumQueryEngine, GeneralEnumEngine, GeneralShardedEngine, ServeError, ServeMode, ShardedEngine,
-    UpdateError,
-};
+use agq_enumerate::{GeneralShardedEngine, ServeError, ServeMode, ShardedEngine, UpdateError};
 use agq_logic::{Formula, Var};
 use agq_semiring::Nat;
 use agq_structure::{Signature, Structure};
@@ -213,8 +210,8 @@ fn sharded_fail_open_keeps_serving_and_reports_degraded_wal() {
 fn single_engine_fail_stop_is_write_ahead() {
     let (a, e) = three_component_graph();
     let phi = Formula::Rel(e, vec![Var(0), Var(1)]);
-    let mut eng: GeneralEnumEngine<Nat> =
-        EnumQueryEngine::build_dynamic(&a, &phi, &CompileOptions::default()).unwrap();
+    let eng: GeneralShardedEngine<Nat> =
+        ShardedEngine::build(&a, &phi, &CompileOptions::default(), 1).unwrap();
     let (sink, fail, appends) = flaky();
     eng.attach_wal(sink);
     eng.set_durability(DurabilityPolicy {
@@ -244,8 +241,8 @@ fn single_engine_fail_stop_is_write_ahead() {
 fn single_engine_fail_open_flags_degraded() {
     let (a, e) = three_component_graph();
     let phi = Formula::Rel(e, vec![Var(0), Var(1)]);
-    let mut eng: GeneralEnumEngine<Nat> =
-        EnumQueryEngine::build_dynamic(&a, &phi, &CompileOptions::default()).unwrap();
+    let eng: GeneralShardedEngine<Nat> =
+        ShardedEngine::build(&a, &phi, &CompileOptions::default(), 1).unwrap();
     let (sink, fail, _appends) = flaky();
     eng.attach_wal(sink);
     eng.set_durability(DurabilityPolicy::fail_open());

@@ -1,9 +1,11 @@
 //! Differential and concurrency suites for the Gaifman-component
 //! sharded engine and the plan/state split beneath it.
 //!
-//! * sharded ≡ unsharded: point queries, answer sets, the merged
+//! * sharded ≡ one shard: point queries, answer sets, the merged
 //!   ordered stream, and post-update behavior, on all three point-query
 //!   backends (General / Ring / Finite);
+//! * a quantified formula builds static state, sharded, matching the
+//!   brute-force baseline;
 //! * property test: one shared plan with N states under disjoint update
 //!   streams is indistinguishable from N independently built engines;
 //! * concurrent smoke test: threads updating distinct shards while other
@@ -11,7 +13,7 @@
 
 use agq_circuit::{FiniteMaint, PermMaint, RingMaint};
 use agq_core::{CompileOptions, TupleUpdate};
-use agq_enumerate::{AnswerIndex, EnumQueryEngine, ShardedEngine, UpdateError};
+use agq_enumerate::{AnswerIndex, ShardedEngine, UpdateError};
 use agq_logic::{Formula, Var};
 use agq_perm::SegTreePerm;
 use agq_semiring::{Bool, Int, Nat, Semiring};
@@ -83,17 +85,8 @@ fn sorted(mut v: Vec<Vec<Elem>>) -> Vec<Vec<Elem>> {
     v
 }
 
-fn collect_engine<S: Semiring, P: PermMaint<S>>(eng: &EnumQueryEngine<S, P>) -> Vec<Vec<Elem>> {
-    let mut out = Vec::new();
-    let mut it = eng.enumerate();
-    while let Some(t) = it.next() {
-        out.push(t);
-    }
-    out
-}
-
-/// Differential: the sharded engine must agree with the unsharded
-/// `EnumQueryEngine` on point queries, the answer set, the merged
+/// Differential: the sharded engine must agree with a one-shard engine
+/// (the flat reference) on point queries, the answer set, the merged
 /// ordered stream, and after every update of a random Gaifman-preserving
 /// update sequence.
 fn sharded_matches_unsharded<S, P, F>(seed: u64, mk_one: F)
@@ -108,20 +101,20 @@ where
     assert!(phi.answers_component_local());
     let opts = CompileOptions::default();
     let sharded: ShardedEngine<S, P> = ShardedEngine::build(&w.a, &phi, &opts, 0).unwrap();
-    let mut flat: EnumQueryEngine<S, P> =
-        EnumQueryEngine::build_dynamic(&w.a, &phi, &opts).unwrap();
+    let flat: ShardedEngine<S, P> = ShardedEngine::build(&w.a, &phi, &opts, 1).unwrap();
     assert!(sharded.num_shards() > 1, "world must actually shard");
 
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xABCD);
     let one = mk_one();
-    let mut check = |sharded: &ShardedEngine<S, P>, flat: &mut EnumQueryEngine<S, P>| {
-        let flat_answers = sorted(collect_engine(flat));
+    let mut check = |sharded: &ShardedEngine<S, P>, flat: &ShardedEngine<S, P>| {
+        let flat_answers = sorted(flat.collect_answers());
         assert_eq!(
             sorted(sharded.collect_answers()),
             flat_answers,
             "answer sets"
         );
-        let merged = sharded.enumerate_merged();
+        let mut merged = Vec::new();
+        sharded.for_each_answer(|t| merged.push(t.to_vec()));
         assert_eq!(
             merged,
             sharded.collect_answers(),
@@ -155,7 +148,7 @@ where
             assert_eq!(sharded.query(p), flat.query(p), "point probe {p:?}");
         }
     };
-    check(&sharded, &mut flat);
+    check(&sharded, &flat);
     // interleave updates and re-checks
     let mut rng2 = SmallRng::seed_from_u64(seed ^ 0x1234);
     for step in 0..25 {
@@ -177,10 +170,10 @@ where
         sharded.apply_update(&u).unwrap();
         flat.apply_update(&u).unwrap();
         if step % 5 == 4 {
-            check(&sharded, &mut flat);
+            check(&sharded, &flat);
         }
     }
-    check(&sharded, &mut flat);
+    check(&sharded, &flat);
 }
 
 #[test]
@@ -199,7 +192,8 @@ fn sharded_differential_finite() {
 }
 
 /// The fallback path must stay correct: a non-component-local formula
-/// (negated atom) runs on one shard and still matches the flat engine.
+/// (negated atom) runs on one shard and still matches a one-shard
+/// engine built directly.
 #[test]
 fn sharded_fallback_differential() {
     let w = clustered_world(3, 4, 11);
@@ -210,20 +204,69 @@ fn sharded_fallback_differential() {
     let sharded: ShardedEngine<Nat, SegTreePerm<Nat>> =
         ShardedEngine::build(&w.a, &phi, &opts, 0).unwrap();
     assert_eq!(sharded.num_shards(), 1);
-    let mut flat: EnumQueryEngine<Nat, SegTreePerm<Nat>> =
-        EnumQueryEngine::build_dynamic(&w.a, &phi, &opts).unwrap();
+    let flat: ShardedEngine<Nat, SegTreePerm<Nat>> =
+        ShardedEngine::build(&w.a, &phi, &opts, 1).unwrap();
     assert_eq!(
         sorted(sharded.collect_answers()),
-        sorted(collect_engine(&flat))
+        sorted(flat.collect_answers())
     );
     let u = TupleUpdate::remove(w.e, &[0, 1]);
     sharded.apply_update(&u).unwrap();
     flat.apply_update(&u).unwrap();
     assert_eq!(
         sorted(sharded.collect_answers()),
-        sorted(collect_engine(&flat))
+        sorted(flat.collect_answers())
     );
     assert_eq!(sharded.query(&[0, 1]), flat.query(&[0, 1]));
+}
+
+/// A quantified formula builds static state: sharded over two shards it
+/// enumerates exactly the brute-force answer set, its point queries
+/// agree with that set on probes, and every update is rejected. The
+/// quantified subformula has one free variable, the fragment guarded
+/// quantifier elimination supports.
+#[test]
+fn quantified_formula_is_served_statically() {
+    let w = clustered_world(3, 5, 13);
+    let (x, y, z) = (Var(0), Var(1), Var(2));
+    let has_s_neighbor = Formula::Exists(
+        z,
+        Box::new(Formula::Rel(w.e, vec![y, z]).and(Formula::Rel(w.s, vec![z]))),
+    );
+    let phi = Formula::Rel(w.e, vec![x, y]).and(has_s_neighbor);
+    assert!(!phi.is_quantifier_free());
+    let opts = CompileOptions::default();
+    let eng: ShardedEngine<Nat, SegTreePerm<Nat>> =
+        ShardedEngine::build(&w.a, &phi, &opts, 2).unwrap();
+    assert_eq!(eng.num_shards(), 2, "a quantified φ still shards");
+    let expect = agq_baseline::all_answers(&phi, &w.a);
+    assert!(!expect.is_empty());
+    assert_eq!(sorted(eng.collect_answers()), expect);
+    assert_eq!(eng.count(), expect.len() as u64);
+    for (k, t) in eng.collect_answers().iter().enumerate() {
+        assert_eq!(eng.answer(k as u64).as_ref(), Some(t), "rank {k}");
+    }
+    let mut rng = SmallRng::seed_from_u64(17);
+    for _ in 0..64 {
+        let p = [rng.gen_range(0..w.n), rng.gen_range(0..w.n)];
+        let want = Nat(u64::from(expect.binary_search(&p.to_vec()).is_ok()));
+        assert_eq!(eng.query(&p), want, "probe {p:?}");
+    }
+    for t in expect.iter().take(8) {
+        assert_eq!(eng.query(t), Nat(1), "answer {t:?}");
+    }
+    let t = w.e_tuples[0];
+    let lsn = eng.last_lsn();
+    assert_eq!(
+        eng.apply_batch(&[TupleUpdate::remove(w.e, &t)]),
+        Err(UpdateError::StaticIndex)
+    );
+    assert_eq!(
+        eng.apply_update(&TupleUpdate::insert(w.e, &t)),
+        Err(UpdateError::StaticIndex)
+    );
+    assert_eq!(eng.last_lsn(), lsn, "rejected updates take no LSN");
+    assert_eq!(sorted(eng.collect_answers()), expect);
 }
 
 // ---------------------------------------------------------------------
@@ -289,7 +332,8 @@ proptest! {
 
 /// `ShardedEngine::apply_batch` with batches straddling shards must agree
 /// with one-by-one sharded application and with a flat engine absorbing
-/// the same updates, on all three backends. Batches mix relations,
+/// the same updates (the one-shard flat reference), on all three
+/// backends. Batches mix relations,
 /// duplicate tuples (last wins) and guaranteed mutually-cancelling flips.
 fn sharded_batch_matches_sequential<S, P>(seed: u64)
 where
@@ -302,8 +346,7 @@ where
     let opts = CompileOptions::default();
     let batched: ShardedEngine<S, P> = ShardedEngine::build(&w.a, &phi, &opts, 0).unwrap();
     let sequential: ShardedEngine<S, P> = ShardedEngine::build(&w.a, &phi, &opts, 0).unwrap();
-    let mut flat: EnumQueryEngine<S, P> =
-        EnumQueryEngine::build_dynamic(&w.a, &phi, &opts).unwrap();
+    let flat: ShardedEngine<S, P> = ShardedEngine::build(&w.a, &phi, &opts, 1).unwrap();
     assert!(batched.num_shards() > 1, "world must actually shard");
 
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
@@ -336,7 +379,7 @@ where
             sequential.apply_update(u).unwrap();
             flat.apply_update(u).unwrap();
         }
-        let expect = sorted(collect_engine(&flat));
+        let expect = sorted(flat.collect_answers());
         assert_eq!(
             sorted(batched.collect_answers()),
             expect,
@@ -402,10 +445,13 @@ fn sharded_batch_is_all_or_nothing() {
     ];
     let applied = eng.apply_batch(&batch).unwrap();
     assert_eq!(applied, 1, "only the in-shard remove touches slots");
-    let mut flat: EnumQueryEngine<Nat, SegTreePerm<Nat>> =
-        EnumQueryEngine::build_dynamic(&w.a, &phi, &opts).unwrap();
+    let flat: ShardedEngine<Nat, SegTreePerm<Nat>> =
+        ShardedEngine::build(&w.a, &phi, &opts, 1).unwrap();
     flat.apply_update(&TupleUpdate::remove(w.e, &t)).unwrap();
-    assert_eq!(sorted(eng.collect_answers()), sorted(collect_engine(&flat)));
+    assert_eq!(
+        sorted(eng.collect_answers()),
+        sorted(flat.collect_answers())
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -414,7 +460,7 @@ fn sharded_batch_is_all_or_nothing() {
 
 /// Threads hammer distinct shards with updates while other threads run
 /// `query_batch` and enumeration concurrently; afterwards the engine
-/// must agree with a flat engine that absorbed the same updates.
+/// must agree with a one-shard engine that absorbed the same updates.
 #[test]
 fn concurrent_shard_updates_and_batch_queries() {
     let w = clustered_world(4, 8, 42);
@@ -477,9 +523,10 @@ fn concurrent_shard_updates_and_batch_queries() {
     });
 
     // Deterministic end state: every writer's last pass ran to
-    // completion, so replay the same final updates into a flat engine.
-    let mut flat: EnumQueryEngine<Nat, SegTreePerm<Nat>> =
-        EnumQueryEngine::build_dynamic(&w.a, &phi, &opts).unwrap();
+    // completion, so replay the same final updates into a one-shard
+    // engine.
+    let flat: ShardedEngine<Nat, SegTreePerm<Nat>> =
+        ShardedEngine::build(&w.a, &phi, &opts, 1).unwrap();
     for stream in &per_shard {
         for u in stream {
             flat.apply_update(u).unwrap();
@@ -487,7 +534,7 @@ fn concurrent_shard_updates_and_batch_queries() {
     }
     assert_eq!(
         sorted(eng.collect_answers()),
-        sorted(collect_engine(&flat)),
+        sorted(flat.collect_answers()),
         "post-race state must equal sequential replay"
     );
     for p in &probes {

@@ -12,9 +12,7 @@ use crate::value::PersistValue;
 use crate::wal::{self, FileWal};
 use agq_circuit::PermMaint;
 use agq_core::{QueryEngine, TupleUpdate};
-use agq_enumerate::{
-    AnswerIndex, EnumMachine, EnumQueryEngine, ServeError, ShardStateDump, ShardedEngine,
-};
+use agq_enumerate::{AnswerIndex, EnumMachine, ServeError, ShardStateDump, ShardedEngine};
 use agq_semiring::Semiring;
 use std::io::Write;
 use std::path::Path;
@@ -97,29 +95,6 @@ fn read_artifact(
 // plan files
 // ---------------------------------------------------------------------
 
-/// Write the shared immutable plan of `engine` to a `.agqplan` file.
-pub fn save_plan<S, P>(
-    engine: &EnumQueryEngine<S, P>,
-    path: impl AsRef<Path>,
-) -> Result<u64, PersistError>
-where
-    S: Semiring + PersistValue,
-    P: PermMaint<S>,
-{
-    let index = engine.answer_index();
-    let body = plan::write_bundle(&PlanRefs {
-        compiled: engine.query_engine().compiled(),
-        enum_circuit: index.machine().circuit(),
-        enum_slots: index.slot_registry(),
-        gen_weights: index.generator_weights(),
-        sig: index.signature(),
-        domain_size: index.domain_size(),
-        arity: engine.arity(),
-        dynamic: index.is_dynamic(),
-    });
-    write_artifact(path, PLAN_MAGIC, S::TAG, &body)
-}
-
 /// Write the shared immutable plan of a sharded engine to a `.agqplan`
 /// file (every shard references the same plan, so shard 0's is *the*
 /// plan).
@@ -159,30 +134,6 @@ pub fn load_plan<S: PersistValue>(path: impl AsRef<Path>) -> Result<LoadedPlan<S
 // snapshot files
 // ---------------------------------------------------------------------
 
-/// Write the mutable state of `engine` to a `.agqsnap` file, current
-/// through the engine's `last_lsn`.
-pub fn save_snapshot<S, P>(
-    engine: &EnumQueryEngine<S, P>,
-    path: impl AsRef<Path>,
-) -> Result<u64, PersistError>
-where
-    S: Semiring + PersistValue,
-    P: PermMaint<S>,
-{
-    agq_core::fault::io_point("snapshot.save")?;
-    let eval = engine.query_engine().evaluator();
-    let bundle = SnapshotBundle {
-        last_lsn: engine.last_lsn(),
-        sharding: None,
-        shards: vec![ShardStateDump {
-            slot_values: eval.slot_values().to_vec(),
-            gate_values: eval.gate_values().to_vec(),
-            machine: engine.answer_index().machine().dump_state(),
-        }],
-    };
-    write_artifact(path, SNAP_MAGIC, S::TAG, &snapshot::write_snapshot(&bundle))
-}
-
 /// Write every shard's mutable state to a `.agqsnap` file under one
 /// consistent whole-engine snapshot (ordered all-shards read lock, so
 /// the dump is point-in-time across shards).
@@ -210,22 +161,6 @@ where
         shards,
     };
     write_artifact(path, SNAP_MAGIC, S::TAG, &snapshot::write_snapshot(&bundle))
-}
-
-/// Save both halves of an engine: plan + snapshot.
-pub fn save_engine<S, P>(
-    engine: &EnumQueryEngine<S, P>,
-    plan_path: impl AsRef<Path>,
-    snap_path: impl AsRef<Path>,
-) -> Result<SaveStats, PersistError>
-where
-    S: Semiring + PersistValue,
-    P: PermMaint<S>,
-{
-    Ok(SaveStats {
-        plan_bytes: save_plan(engine, plan_path)?,
-        snapshot_bytes: save_snapshot(engine, snap_path)?,
-    })
 }
 
 /// Save both halves of a sharded engine: plan + whole-lockset snapshot.
@@ -272,31 +207,6 @@ where
     Ok((qe, index))
 }
 
-/// Reassemble a single engine from a plan and a snapshot file. The
-/// returned engine is current through the snapshot's LSN; use
-/// [`recover_engine`] to also roll a WAL tail forward.
-pub fn load_engine<S, P>(
-    plan_path: impl AsRef<Path>,
-    snap_path: impl AsRef<Path>,
-) -> Result<EnumQueryEngine<S, P>, PersistError>
-where
-    S: Semiring + PersistValue,
-    P: PermMaint<S>,
-{
-    let lp = load_plan::<S>(plan_path)?;
-    let body = read_artifact(snap_path, SNAP_MAGIC, S::TAG)?;
-    let snap = snapshot::read_snapshot::<S>(&body)?;
-    if snap.sharding.is_some() {
-        return Err(PersistError::Corrupt(
-            "snapshot is sharded; load it with load_sharded",
-        ));
-    }
-    let mut shards = snap.shards;
-    let dump = shards.pop().expect("validated single-shard snapshot");
-    let (qe, index) = restore_shard::<S, P>(&lp, dump)?;
-    Ok(EnumQueryEngine::from_parts(qe, index, snap.last_lsn))
-}
-
 /// Reassemble a sharded engine from a plan and a snapshot file.
 pub fn load_sharded<S, P>(
     plan_path: impl AsRef<Path>,
@@ -313,7 +223,7 @@ where
         Some(meta) => meta,
         None => {
             return Err(PersistError::Corrupt(
-                "snapshot is unsharded; load it with load_engine",
+                "snapshot carries no shard routing tables",
             ))
         }
     };
@@ -355,31 +265,6 @@ fn replay_batches(
         report.updates_replayed += batch.updates.len();
     }
     Ok(report)
-}
-
-/// Crash recovery for a single engine: load plan + snapshot, then
-/// replay every committed WAL batch sequenced after the snapshot. The
-/// returned engine's LSN continues from the highest committed LSN, so
-/// re-attaching the (tail-truncated) WAL resumes a consistent sequence.
-pub fn recover_engine<S, P>(
-    plan_path: impl AsRef<Path>,
-    snap_path: impl AsRef<Path>,
-    wal_path: impl AsRef<Path>,
-) -> Result<(EnumQueryEngine<S, P>, RecoveryReport), PersistError>
-where
-    S: Semiring + PersistValue,
-    P: PermMaint<S>,
-{
-    let mut engine = load_engine::<S, P>(plan_path, snap_path)?;
-    let snapshot_lsn = engine.last_lsn();
-    let scan = wal::scan_wal(wal_path)?;
-    let wal_last = scan.last_lsn;
-    let report = replay_batches(scan, snapshot_lsn, |batch| {
-        engine.apply_batch(&batch.updates)?;
-        Ok(())
-    })?;
-    engine.set_last_lsn(snapshot_lsn.max(wal_last));
-    Ok((engine, report))
 }
 
 /// Crash recovery for a sharded engine: load plan + snapshot, replay
@@ -516,25 +401,6 @@ where
 /// Open (or create) the WAL at `path` for appending — truncating any
 /// torn tail — and attach it to `engine`. Returns the LSN the log was
 /// committed through.
-pub fn attach_file_wal<S, P>(
-    engine: &mut EnumQueryEngine<S, P>,
-    path: impl AsRef<Path>,
-) -> Result<u64, PersistError>
-where
-    S: Semiring,
-    P: PermMaint<S>,
-{
-    let path = path.as_ref();
-    let (sink, last) = if path.exists() {
-        FileWal::open_append(path)?
-    } else {
-        (FileWal::create(path)?, 0)
-    };
-    engine.attach_wal(Box::new(sink));
-    Ok(last)
-}
-
-/// Sharded counterpart of [`attach_file_wal`].
 pub fn attach_sharded_file_wal<S, P>(
     engine: &ShardedEngine<S, P>,
     path: impl AsRef<Path>,

@@ -1,6 +1,6 @@
 //! # `agq-persist` — plan/state serialization, snapshots, and a WAL
 //!
-//! Crash-safe persistence for the aggregate-query engines: the compiled
+//! Crash-safe persistence for [`agq_enumerate::ShardedEngine`]: the compiled
 //! plan and the mutable evaluator state are written to disk, updates
 //! are journaled through a checksummed write-ahead log, and a restart
 //! reassembles an engine that answers **byte-identically** to the one
@@ -19,10 +19,11 @@
 //!   circuit).
 //! * **`.agqsnap`** — the mutable half: per shard, the evaluator's slot
 //!   values and committed gate values and the enumeration machine's
-//!   provenance supports, captured at one LSN. Sharded snapshots are
-//!   taken under the engine's ordered whole-lockset read guard, so they
-//!   are point-in-time consistent across shards, and additionally carry
-//!   the Gaifman component → shard routing tables.
+//!   provenance supports, captured at one LSN, plus the Gaifman
+//!   component → shard routing tables. Snapshots are taken under the
+//!   engine's ordered whole-lockset read guard, so they are
+//!   point-in-time consistent across shards. An unsharded engine is a
+//!   one-shard engine (`max_shards = 1`) and saves the same way.
 //! * **`wal.agqlog`** — the write-ahead log: committed update batches,
 //!   one CRC per record, replayed at recovery to roll a snapshot
 //!   forward to the crash point.
@@ -69,7 +70,7 @@
 //! **log sequence number**, whether or not a WAL sink is attached, so
 //! snapshots are always sequenced. A snapshot records the LSN it is
 //! current through; a WAL commit marker records the LSN of its batch.
-//! The engines journal **write-ahead**: the batch is appended under
+//! The engine journals **write-ahead**: the batch is appended under
 //! the same locks that order the apply, *before* the in-memory apply,
 //! and the LSN advances only if the append succeeds (or the engine's
 //! `DurabilityPolicy` is fail-open, which flags `wal_degraded`
@@ -97,9 +98,8 @@ pub mod value;
 pub mod wal;
 
 pub use engine_io::{
-    attach_file_wal, attach_sharded_file_wal, load_engine, load_plan, load_sharded, recover_engine,
-    recover_sharded, restore_quarantined_shard, save_engine, save_plan, save_sharded,
-    save_sharded_plan, save_sharded_snapshot, save_snapshot, SaveStats, FORMAT_VERSION, PLAN_MAGIC,
+    attach_sharded_file_wal, load_plan, load_sharded, recover_sharded, restore_quarantined_shard,
+    save_sharded, save_sharded_plan, save_sharded_snapshot, SaveStats, FORMAT_VERSION, PLAN_MAGIC,
     SNAP_MAGIC,
 };
 pub use error::{PersistError, RecoveryReport};

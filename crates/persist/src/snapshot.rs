@@ -7,7 +7,7 @@
 //! artifacts with the carrier tag, and the load path re-validates every
 //! length against the plan before reconstructing evaluators.
 //!
-//! For a [`ShardedEngine`](agq_enumerate::ShardedEngine) the dump also
+//! The dump of a [`ShardedEngine`](agq_enumerate::ShardedEngine) also
 //! carries the Gaifman component decomposition (element → component →
 //! shard tables), so the restored engine routes identically — a
 //! snapshot taken on one box restores onto another with the same shard
@@ -20,13 +20,16 @@ use agq_enumerate::{InputVal, MachineStateDump, ShardStateDump};
 use agq_semiring::Gen;
 use agq_structure::gaifman::GaifmanComponents;
 
-/// Snapshot body: single-engine (`kind` 0) or sharded (`kind` 1).
+/// Snapshot body: sharded (`kind` 1), the only kind the engine writes.
+/// The format also defines an unsharded `kind` 0 with exactly one state
+/// and no routing tables; it still parses, and the engine loaders reject
+/// it as [`PersistError::Corrupt`].
 pub struct SnapshotBundle<S> {
     /// LSN the states are current through.
     pub last_lsn: u64,
-    /// Sharding metadata — `None` for a single-engine snapshot.
+    /// Sharding metadata — `None` for a `kind` 0 snapshot.
     pub sharding: Option<ShardingMeta>,
-    /// One state dump per shard (exactly one when unsharded).
+    /// One state dump per shard (exactly one for `kind` 0).
     pub shards: Vec<ShardStateDump<S>>,
 }
 
@@ -235,7 +238,7 @@ pub fn read_snapshot<S: PersistValue>(body: &[u8]) -> Result<SnapshotBundle<S>, 
         }
     } else if n_shards != 1 {
         return Err(PersistError::Corrupt(
-            "single-engine snapshot must hold exactly one state",
+            "unsharded snapshot must hold exactly one state",
         ));
     }
     let mut shards = Vec::with_capacity(n_shards);

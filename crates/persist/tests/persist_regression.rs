@@ -14,7 +14,7 @@
 //!
 //! 2. **Snapshot + WAL restart beats a cold rebuild.** Recovering from
 //!    a snapshot plus a 64-batch WAL tail must come in under the time a
-//!    fresh `build_dynamic` takes — otherwise crash recovery would be
+//!    fresh `ShardedEngine::build` takes — otherwise crash recovery would be
 //!    pointless — and under a generous absolute ceiling so a quadratic
 //!    replay loop can't hide behind a slow baseline.
 //!
@@ -25,18 +25,18 @@
 #![cfg(not(debug_assertions))]
 
 use agq_core::{CompileOptions, TupleUpdate};
-use agq_enumerate::EnumQueryEngine;
+use agq_enumerate::GeneralShardedEngine;
 use agq_graph::generators;
 use agq_logic::{Formula, Var};
 use agq_perm::SegTreePerm;
-use agq_persist::{attach_file_wal, load_engine, recover_engine, save_engine};
+use agq_persist::{attach_sharded_file_wal, load_sharded, recover_sharded, save_sharded};
 use agq_semiring::F64;
 use agq_structure::{RelId, Signature, Structure};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-type Engine = EnumQueryEngine<F64, SegTreePerm<F64>>;
+type Engine = GeneralShardedEngine<F64>;
 
 /// The E9 workload: symmetrized G(n, 2n), two-path query with x ≠ z.
 fn e9_workload(n: usize) -> (Structure, Formula, RelId) {
@@ -80,19 +80,19 @@ fn plan_load_beats_recompile() {
     // Cold compile, timed. A second compile would be the honest
     // baseline for "restart without persistence" — the first already
     // paid page-faults for the structure, so time the second.
-    let engine = Engine::build_dynamic(&a, &phi, &opts).expect("build");
+    let engine = Engine::build(&a, &phi, &opts, 1).expect("build");
     let t = Instant::now();
-    let rebuilt = Engine::build_dynamic(&a, &phi, &opts).expect("rebuild");
+    let rebuilt = Engine::build(&a, &phi, &opts, 1).expect("rebuild");
     let t_compile = t.elapsed();
     assert_eq!(engine.count(), rebuilt.count());
 
     let (plan, snap, _wal) = scratch("planload");
-    save_engine(&engine, &plan, &snap).expect("save");
+    save_sharded(&engine, &plan, &snap).expect("save");
 
     // Warm the file cache with one load, then time the second.
-    load_engine::<F64, SegTreePerm<F64>>(&plan, &snap).expect("first load");
+    load_sharded::<F64, SegTreePerm<F64>>(&plan, &snap).expect("first load");
     let t = Instant::now();
-    let loaded = load_engine::<F64, SegTreePerm<F64>>(&plan, &snap).expect("second load");
+    let loaded = load_sharded::<F64, SegTreePerm<F64>>(&plan, &snap).expect("second load");
     let t_load = t.elapsed();
 
     assert_eq!(
@@ -129,10 +129,10 @@ fn wal_recovery_beats_cold_rebuild() {
         .map(|t| t.as_slice().to_vec())
         .collect();
 
-    let mut live = Engine::build_dynamic(&a, &phi, &opts).expect("build");
+    let live = Engine::build(&a, &phi, &opts, 1).expect("build");
     let (plan, snap, wal) = scratch("walrec");
-    save_engine(&live, &plan, &snap).expect("save");
-    attach_file_wal(&mut live, &wal).expect("attach wal");
+    save_sharded(&live, &plan, &snap).expect("save");
+    attach_sharded_file_wal(&live, &wal).expect("attach wal");
 
     // 64 batches of 16 deterministic edge flips through the WAL.
     let mut present = vec![true; edges.len()];
@@ -158,12 +158,12 @@ fn wal_recovery_beats_cold_rebuild() {
 
     // The cold-rebuild baseline recovery has to beat.
     let t = Instant::now();
-    let _cold = Engine::build_dynamic(&a, &phi, &opts).expect("rebuild");
+    let _cold = Engine::build(&a, &phi, &opts, 1).expect("rebuild");
     let t_rebuild = t.elapsed();
 
     let t = Instant::now();
     let (rec, report) =
-        recover_engine::<F64, SegTreePerm<F64>>(&plan, &snap, &wal).expect("recover");
+        recover_sharded::<F64, SegTreePerm<F64>>(&plan, &snap, &wal).expect("recover");
     let t_recover = t.elapsed();
 
     assert_eq!(report.batches_committed, 64);

@@ -5,11 +5,12 @@
 //! [`RecoveryReport`], never a panic and never silently wrong answers.
 
 use agq_core::{CompileOptions, TupleUpdate};
-use agq_enumerate::EnumQueryEngine;
+use agq_enumerate::GeneralShardedEngine;
 use agq_logic::{Formula, Var};
 use agq_perm::SegTreePerm;
 use agq_persist::{
-    attach_file_wal, load_engine, recover_engine, save_engine, PersistError, FORMAT_VERSION,
+    attach_sharded_file_wal, load_sharded, recover_sharded, save_sharded, PersistError,
+    FORMAT_VERSION,
 };
 use agq_semiring::F64;
 use agq_structure::{RelId, Signature, Structure};
@@ -17,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-type Engine = EnumQueryEngine<F64, SegTreePerm<F64>>;
+type Engine = GeneralShardedEngine<F64>;
 
 fn scratch(label: &str) -> (PathBuf, PathBuf, PathBuf) {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -52,18 +53,17 @@ fn build() -> (Engine, RelId, RelId) {
     }
     let (x, y) = (Var(0), Var(1));
     let phi = Formula::Rel(e, vec![x, y]).and(Formula::Rel(s, vec![x]));
-    let eng = Engine::build_dynamic(&Arc::new(a), &phi, &CompileOptions::default())
-        .expect("build_dynamic");
+    let eng = Engine::build(&Arc::new(a), &phi, &CompileOptions::default(), 1).expect("build");
     (eng, e, s)
 }
 
 /// Save a snapshot, then journal `n_batches` single-update batches
 /// through the WAL. Returns the paths plus the live engine.
 fn save_and_churn(label: &str, n_batches: usize) -> (Engine, PathBuf, PathBuf, PathBuf) {
-    let (mut live, _e, s) = build();
+    let (live, _e, s) = build();
     let (plan, snap, wal) = scratch(label);
-    save_engine(&live, &plan, &snap).expect("save");
-    attach_file_wal(&mut live, &wal).expect("attach wal");
+    save_sharded(&live, &plan, &snap).expect("save");
+    attach_sharded_file_wal(&live, &wal).expect("attach wal");
     for i in 0..n_batches {
         let v = (i as u32) % 8;
         live.apply_batch(&[TupleUpdate {
@@ -78,12 +78,7 @@ fn save_and_churn(label: &str, n_batches: usize) -> (Engine, PathBuf, PathBuf, P
 }
 
 fn answers(e: &Engine) -> Vec<Vec<u32>> {
-    let mut out = Vec::new();
-    let mut it = e.enumerate();
-    while let Some(t) = it.next() {
-        out.push(t);
-    }
-    out
+    e.collect_answers()
 }
 
 #[test]
@@ -96,7 +91,7 @@ fn truncated_wal_tail_recovers_committed_prefix() {
     f.set_len(full - 5).unwrap();
     drop(f);
 
-    let (rec, report) = recover_engine::<F64, SegTreePerm<F64>>(&plan, &snap, &wal)
+    let (rec, report) = recover_sharded::<F64, SegTreePerm<F64>>(&plan, &snap, &wal)
         .expect("torn tail is recoverable, not fatal");
     assert!(report.torn_tail, "tail cut mid-record must be reported");
     assert!(!report.corrupt_tail);
@@ -104,7 +99,7 @@ fn truncated_wal_tail_recovers_committed_prefix() {
     assert_eq!(report.batches_replayed, 5);
     assert!(report.truncated_at.is_some());
     // The recovered engine equals a replay of the first 5 batches.
-    let (mut expect, _e2, s2) = build();
+    let (expect, _e2, s2) = build();
     for i in 0..5usize {
         expect
             .apply_update(&TupleUpdate {
@@ -127,7 +122,7 @@ fn bit_flipped_wal_record_truncates_from_the_flip() {
     bytes[pos] ^= 0x10;
     std::fs::write(&wal, &bytes).unwrap();
 
-    let (rec, report) = recover_engine::<F64, SegTreePerm<F64>>(&plan, &snap, &wal)
+    let (rec, report) = recover_sharded::<F64, SegTreePerm<F64>>(&plan, &snap, &wal)
         .expect("CRC failure mid-log is recoverable, not fatal");
     assert!(report.corrupt_tail, "CRC mismatch must be reported");
     assert!(
@@ -137,7 +132,7 @@ fn bit_flipped_wal_record_truncates_from_the_flip() {
     assert_eq!(report.batches_replayed, report.batches_committed);
     assert!(report.truncated_at.is_some());
     // Whatever prefix survived must replay to a consistent engine.
-    let (mut expect, _e2, s2) = build();
+    let (expect, _e2, s2) = build();
     for i in 0..report.batches_replayed {
         expect
             .apply_update(&TupleUpdate {
@@ -174,7 +169,7 @@ fn duplicated_tail_batch_is_skipped_not_reapplied() {
     std::fs::write(&wal, &dup).unwrap();
 
     let (rec, report) =
-        recover_engine::<F64, SegTreePerm<F64>>(&plan, &snap, &wal).expect("recover");
+        recover_sharded::<F64, SegTreePerm<F64>>(&plan, &snap, &wal).expect("recover");
     assert_eq!(report.batches_committed, 5, "duplicate parses as committed");
     assert_eq!(
         report.batches_skipped, 1,
@@ -199,7 +194,7 @@ fn version_mismatch_headers_are_clean_errors() {
     wal_bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
     std::fs::write(&wal, &wal_bytes).unwrap();
 
-    match load_engine::<F64, SegTreePerm<F64>>(&plan, &snap) {
+    match load_sharded::<F64, SegTreePerm<F64>>(&plan, &snap) {
         Err(PersistError::VersionMismatch { found, expected }) => {
             assert_eq!(found, FORMAT_VERSION + 7);
             assert_eq!(expected, FORMAT_VERSION);
@@ -218,7 +213,7 @@ fn version_mismatch_headers_are_clean_errors() {
 fn wrong_magic_and_swapped_artifacts_are_clean_errors() {
     let (_live, plan, snap, _wal) = save_and_churn("magic", 1);
     // Loading the snapshot as a plan (and vice versa) is a BadMagic.
-    match load_engine::<F64, SegTreePerm<F64>>(&snap, &plan) {
+    match load_sharded::<F64, SegTreePerm<F64>>(&snap, &plan) {
         Err(PersistError::BadMagic { .. }) => {}
         Err(other) => panic!("expected BadMagic, got {other:?}"),
         Ok(_) => panic!("expected BadMagic, got a loaded engine"),
@@ -232,7 +227,7 @@ fn corrupted_plan_body_is_checksum_mismatch() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
     std::fs::write(&plan, &bytes).unwrap();
-    match load_engine::<F64, SegTreePerm<F64>>(&plan, &snap) {
+    match load_sharded::<F64, SegTreePerm<F64>>(&plan, &snap) {
         Err(PersistError::ChecksumMismatch) => {}
         Err(other) => panic!("expected ChecksumMismatch, got {other:?}"),
         Ok(_) => panic!("expected ChecksumMismatch, got a loaded engine"),
@@ -246,7 +241,7 @@ fn carrier_mismatch_is_a_clean_error() {
     let (_live, plan, snap, _wal) = save_and_churn("carrier", 1);
     // The artifacts were written for F64 (tag 4); loading as Int (tag 2)
     // must refuse before touching the body.
-    match load_engine::<Int, RingMaint<Int>>(&plan, &snap) {
+    match load_sharded::<Int, RingMaint<Int>>(&plan, &snap) {
         Err(PersistError::CarrierMismatch { found, expected }) => {
             assert_eq!(found, 4);
             assert_eq!(expected, 2);
@@ -258,9 +253,9 @@ fn carrier_mismatch_is_a_clean_error() {
 
 #[test]
 fn empty_wal_recovers_to_the_snapshot() {
-    let (mut live, plan, snap, wal) = save_and_churn("empty", 0);
+    let (live, plan, snap, wal) = save_and_churn("empty", 0);
     let (rec, report) =
-        recover_engine::<F64, SegTreePerm<F64>>(&plan, &snap, &wal).expect("recover");
+        recover_sharded::<F64, SegTreePerm<F64>>(&plan, &snap, &wal).expect("recover");
     assert_eq!(report.batches_committed, 0);
     assert_eq!(report.batches_replayed, 0);
     assert!(!report.torn_tail && !report.corrupt_tail);
@@ -272,7 +267,6 @@ fn empty_wal_recovers_to_the_snapshot() {
         let (_, e, s) = build();
         (e, s)
     };
-    let mut rec = rec;
     let u = TupleUpdate {
         rel: s,
         tuple: vec![6],
@@ -281,4 +275,28 @@ fn empty_wal_recovers_to_the_snapshot() {
     live.apply_update(&u).unwrap();
     rec.apply_update(&u).unwrap();
     assert_eq!(answers(&rec), answers(&live));
+}
+
+#[test]
+fn unsharded_snapshot_is_a_clean_error() {
+    use agq_persist::crc32::crc32;
+    use agq_persist::snapshot::{read_snapshot, write_snapshot};
+    let (_live, plan, snap, _wal) = save_and_churn("unsharded", 1);
+    // Rewrite the snapshot as the format's unsharded kind: the same one
+    // state, no routing tables, re-framed with a valid checksum.
+    let bytes = std::fs::read(&snap).unwrap();
+    let mut bundle = read_snapshot::<F64>(&bytes[9..bytes.len() - 4]).expect("parse");
+    bundle.sharding = None;
+    let body = write_snapshot(&bundle);
+    let mut framed = bytes[..9].to_vec();
+    framed.extend_from_slice(&body);
+    framed.extend_from_slice(&crc32(&body).to_le_bytes());
+    std::fs::write(&snap, &framed).unwrap();
+    match load_sharded::<F64, SegTreePerm<F64>>(&plan, &snap) {
+        Err(PersistError::Corrupt(msg)) => {
+            assert_eq!(msg, "snapshot carries no shard routing tables")
+        }
+        Err(other) => panic!("expected Corrupt, got {other:?}"),
+        Ok(_) => panic!("expected Corrupt, got a loaded engine"),
+    }
 }

@@ -8,14 +8,11 @@
 
 use agq_circuit::{FiniteMaint, PermMaint, RingMaint};
 use agq_core::{CompileOptions, TupleUpdate};
-use agq_enumerate::{EnumQueryEngine, ShardedEngine};
+use agq_enumerate::ShardedEngine;
 use agq_logic::{Formula, Var};
 use agq_perm::SegTreePerm;
 use agq_persist::codec::ByteWriter;
-use agq_persist::{
-    attach_file_wal, attach_sharded_file_wal, recover_engine, recover_sharded, save_engine,
-    save_sharded, PersistValue,
-};
+use agq_persist::{attach_sharded_file_wal, recover_sharded, save_sharded, PersistValue};
 use agq_semiring::{Bool, Int, Semiring, F64};
 use agq_structure::{Elem, RelId, Signature, Structure};
 use proptest::collection::vec as pvec;
@@ -114,28 +111,32 @@ fn resolve_step(w: &World, kind: u32, pick: u32, present: bool) -> TupleUpdate {
     }
 }
 
-/// Enumerate in engine order (NOT sorted: the recovered engine must
-/// reproduce the exact iteration order, not just the answer set).
-fn enumeration_order<S: Semiring, P: PermMaint<S>>(e: &EnumQueryEngine<S, P>) -> Vec<Vec<Elem>> {
-    let mut out = Vec::new();
-    let mut it = e.enumerate();
-    while let Some(t) = it.next() {
-        out.push(t);
-    }
-    out
+/// Enumerate a one-shard engine's cursor in engine order (NOT sorted:
+/// the recovered engine must reproduce the exact iteration order, not
+/// just the answer set).
+fn enumeration_order<S: Semiring, P: PermMaint<S>>(e: &ShardedEngine<S, P>) -> Vec<Vec<Elem>> {
+    e.with_shard(0, |_, ix| {
+        let mut out = Vec::new();
+        let mut it = ix.iter();
+        while let Some(t) = it.next() {
+            out.push(t);
+        }
+        out
+    })
 }
 
-/// Drive one backend: build, apply the pre-snapshot updates, save,
-/// journal the rest through the WAL, recover, and assert byte-identity.
+/// Drive one backend on one shard: build, apply the pre-snapshot
+/// updates, save, journal the rest through the WAL, recover, and assert
+/// byte-identity.
 fn run_single<S, P>(w: World, steps: &[(u32, u32, bool)], split: usize, label: &str)
 where
     S: Semiring + PersistValue,
-    P: PermMaint<S>,
+    P: PermMaint<S> + Send + Sync,
 {
     let opts = CompileOptions::default();
     let arc = Arc::new(w.shadow.clone());
-    let mut live: EnumQueryEngine<S, P> =
-        EnumQueryEngine::build_dynamic(&arc, &w.phi, &opts).expect("build_dynamic");
+    let live: ShardedEngine<S, P> =
+        ShardedEngine::build(&arc, &w.phi, &opts, 1).expect("one-shard build");
 
     let split = split % (steps.len() + 1);
     for &(kind, pick, present) in &steps[..split] {
@@ -144,10 +145,10 @@ where
     }
 
     let (plan_path, snap_path, wal_path) = scratch(label);
-    save_engine(&live, &plan_path, &snap_path).expect("save");
+    save_sharded(&live, &plan_path, &snap_path).expect("save");
     let snapshot_lsn = live.last_lsn();
 
-    attach_file_wal(&mut live, &wal_path).expect("attach wal");
+    attach_sharded_file_wal(&live, &wal_path).expect("attach wal");
     let tail: Vec<TupleUpdate> = steps[split..]
         .iter()
         .map(|&(kind, pick, present)| resolve_step(&w, kind, pick, present))
@@ -159,8 +160,8 @@ where
     }
     live.detach_wal();
 
-    let (mut recovered, report) =
-        recover_engine::<S, P>(&plan_path, &snap_path, &wal_path).expect("recover");
+    let (recovered, report) =
+        recover_sharded::<S, P>(&plan_path, &snap_path, &wal_path).expect("recover");
 
     assert_eq!(report.snapshot_lsn, snapshot_lsn, "{label}: snapshot lsn");
     assert_eq!(

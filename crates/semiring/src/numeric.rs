@@ -67,9 +67,10 @@ impl fmt::Display for Bool {
 
 /// The counting semiring `(ℕ, +, ·)` on `u64`.
 ///
-/// Used for bag semantics and `#`-aggregates. Arithmetic uses the native
-/// integer operations; overflow panics in debug builds and wraps in release
-/// builds (the unit-cost model of the paper assumes machine words).
+/// Used for bag semantics and `#`-aggregates. Arithmetic is `wrapping_*`
+/// in every build profile: it never panics, and a value past `u64::MAX`
+/// is the true value mod 2⁶⁴ (the unit-cost model of the paper assumes
+/// machine words). Answer counts held in `Nat` wrap the same way.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, PartialOrd, Ord)]
 pub struct Nat(pub u64);
 

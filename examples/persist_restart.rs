@@ -1,6 +1,6 @@
 //! Crash-safe elastic restart: plan + snapshot + WAL round-trip.
 //!
-//! Builds a dynamic enumeration engine over a sparse graph, saves its
+//! Builds a one-shard engine over a sparse graph, saves its
 //! compiled plan (`.agqplan`) and state snapshot (`.agqsnap`), journals
 //! a stream of update batches through the checksummed WAL
 //! (`wal.agqlog`), then *drops the engine* — simulating a crash — and
@@ -10,10 +10,10 @@
 //!
 //! Run with `cargo run --release --example persist_restart`.
 
-use sparse_agg::enumerate::EnumQueryEngine;
+use sparse_agg::enumerate::GeneralShardedEngine;
 use sparse_agg::graph::generators;
 use sparse_agg::perm::SegTreePerm;
-use sparse_agg::persist::{attach_file_wal, recover_engine, save_engine};
+use sparse_agg::persist::{attach_sharded_file_wal, recover_sharded, save_sharded};
 use sparse_agg::prelude::*;
 use sparse_agg::semiring::F64;
 use std::sync::Arc;
@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use sparse_agg::core_engine::TupleUpdate;
 
-type Engine = EnumQueryEngine<F64, SegTreePerm<F64>>;
+type Engine = GeneralShardedEngine<F64>;
 
 fn main() {
     let n = 8_000;
@@ -47,7 +47,7 @@ fn main() {
         .and(Formula::neq(x, z));
 
     let t0 = Instant::now();
-    let mut live = Engine::build_dynamic(&a, &phi, &CompileOptions::default()).unwrap();
+    let live = Engine::build(&a, &phi, &CompileOptions::default(), 1).unwrap();
     let t_compile = t0.elapsed();
     println!(
         "compiled in {t_compile:?}: {} answers at LSN {}",
@@ -63,7 +63,7 @@ fn main() {
         dir.join("q.agqsnap"),
         dir.join("wal.agqlog"),
     );
-    let stats = save_engine(&live, &plan, &snap).unwrap();
+    let stats = save_sharded(&live, &plan, &snap).unwrap();
     println!(
         "saved plan ({} B) + snapshot ({} B) at LSN {}",
         stats.plan_bytes,
@@ -72,7 +72,7 @@ fn main() {
     );
 
     // Journal 32 batches of deterministic edge flips through the WAL.
-    attach_file_wal(&mut live, &wal).unwrap();
+    attach_sharded_file_wal(&live, &wal).unwrap();
     let mut present = vec![true; edges.len()];
     let mut s = 0x9e3779b97f4a7c15u64;
     for _ in 0..32 {
@@ -103,19 +103,12 @@ fn main() {
     // "Crash": capture the expected stream, then drop the engine.
     let expected_count = live.count();
     let expected_lsn = live.last_lsn();
-    let expected: Vec<Vec<u32>> = {
-        let mut out = Vec::new();
-        let mut it = live.enumerate();
-        while let Some(t) = it.next() {
-            out.push(t);
-        }
-        out
-    };
+    let expected: Vec<Vec<u32>> = live.collect_answers();
     drop(live);
 
     // Restart from the three files alone.
     let t0 = Instant::now();
-    let (rec, report) = recover_engine::<F64, SegTreePerm<F64>>(&plan, &snap, &wal).unwrap();
+    let (rec, report) = recover_sharded::<F64, SegTreePerm<F64>>(&plan, &snap, &wal).unwrap();
     let t_recover = t0.elapsed();
     println!(
         "recovered in {t_recover:?} ({:.1}× faster than compiling): \
@@ -132,12 +125,14 @@ fn main() {
 
     assert_eq!(rec.count(), expected_count);
     assert_eq!(rec.last_lsn(), expected_lsn);
-    let mut it = rec.enumerate();
-    for (k, want) in expected.iter().enumerate() {
-        let got = it.next().expect("stream ends early");
-        assert_eq!(&got, want, "answer {k} diverged");
-    }
-    assert!(it.next().is_none(), "stream runs long");
+    rec.with_shard(0, |_, ix| {
+        let mut it = ix.iter();
+        for (k, want) in expected.iter().enumerate() {
+            let got = it.next().expect("stream ends early");
+            assert_eq!(&got, want, "answer {k} diverged");
+        }
+        assert!(it.next().is_none(), "stream runs long");
+    });
     println!(
         "recovered stream is byte-identical: {} answers in the same order at LSN {}",
         expected_count, expected_lsn
